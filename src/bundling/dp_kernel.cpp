@@ -34,7 +34,8 @@ DpKernelOptions dp_kernel_options_from_env() {
 
 Bundling extract_dp_bundling(const DpTables& t,
                              std::span<const std::size_t> order,
-                             std::size_t n_bundles) {
+                             std::size_t n_bundles,
+                             std::span<const std::size_t> runs) {
   const std::size_t n = t.n;
   const std::size_t b_cap = std::min(n_bundles, n);
   // More bundles can never hurt (the objective is superadditive), but take
@@ -43,11 +44,14 @@ Bundling extract_dp_bundling(const DpTables& t,
   for (std::size_t b = 2; b <= b_cap; ++b) {
     if (t.best_at(b, n) > t.best_at(b_best, n)) b_best = b;
   }
+  const auto flow_offset = [&](std::size_t item) {
+    return runs.empty() ? item : runs[item];
+  };
   Bundling out(b_best);
   std::size_t end = n;
   for (std::size_t b = b_best; b >= 1; --b) {
     const std::size_t start = t.split_at(b, end);
-    for (std::size_t r = start; r < end; ++r) {
+    for (std::size_t r = flow_offset(start); r < flow_offset(end); ++r) {
       out[b - 1].push_back(order[r]);
     }
     end = start;

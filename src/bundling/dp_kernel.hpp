@@ -2,7 +2,10 @@
 //
 // This is the top hot path of every sweep: best[b][k] = max over i of
 // best[b-1][i] + value(i, k), filled for b = 1..b_max, k = b..n. The
-// kernel is layered (ROADMAP "beat O(n^2 B)"):
+// n columns are DP items: one per flow for the generic interval_dp
+// entry points, one per run of equal-cost flows for ced_optimal /
+// logit_optimal (bundling/objectives.hpp, DESIGN.md §6). The kernel is
+// layered (ROADMAP "beat O(n^2 B)"):
 //
 //  1. Layout + devirtualization — fill_dp_tables<Objective> is templated
 //     on the segment objective, so the CED/logit entry points compile to
@@ -26,13 +29,16 @@
 //     bit-identical at any thread count, extending the sweep engine's
 //     determinism guarantee through this layer.
 //
-// Equality contract: for any objective, kernel, thread count, and
-// options, fill_dp_tables produces tables bit-identical to the naive
-// reference fill whenever the leftmost argmax of each row (as computed
-// in floating point) is nondecreasing in k — which the probe checks on
-// samples and the cross-check tests verify end-to-end on seeded
-// markets. When the probe fails, the naive fill runs and identity is
-// trivial.
+// Equality contract: for any objective over the same items, and any
+// kernel, thread count, and options, fill_dp_tables produces tables
+// bit-identical to the naive fill over those items whenever the
+// leftmost argmax of each row (as computed in floating point) is
+// nondecreasing in k — which the probe checks on samples and the
+// cross-check tests verify end-to-end on seeded and calibrated markets.
+// When the probe fails, the naive fill runs and identity is trivial.
+// A fill over merged equal-cost runs is a different item set from the
+// per-flow fill: it matches it in profit up to rounding, not in bits
+// (DESIGN.md §6).
 #pragma once
 
 #include <algorithm>
@@ -51,8 +57,18 @@
 
 namespace manytiers::bundling {
 
+// Which row fill ran, and why: "probe_pass" / "probe_fail" for the auto
+// kernel's monotonicity probe, "small" when auto skips the probe (fewer
+// than 4 items, no quadruple to test), "forced" when the options pin
+// the kernel.
+struct DpDecision {
+  bool use_dc = false;
+  const char* why = "forced";
+  const char* kernel() const { return use_dc ? "dc" : "naive"; }
+};
+
 // Flat row-major DP tables: row b at offset b*(n+1), columns 0..n.
-// best[b][k] is the maximum value of splitting the first k sorted flows
+// best[b][k] is the maximum value of splitting the first k sorted items
 // into exactly b intervals; split[b][k] is the start of the last
 // interval. Split indices are uint32_t (n < 2^32 is enforced by the
 // fill), which shrinks the tables to 12 bytes per cell in exactly two
@@ -63,6 +79,7 @@ struct DpTables {
   std::size_t b_max = 0;
   std::vector<double> best;
   std::vector<std::uint32_t> split;
+  DpDecision decision;
 
   std::size_t stride() const { return n + 1; }
   double best_at(std::size_t b, std::size_t k) const {
@@ -109,10 +126,13 @@ DpKernelOptions dp_kernel_options_from_env();
 // Reconstruct the optimal bundling for a requested bundle count from
 // filled tables. Row b of the DP does not depend on b_max, so
 // extracting from a taller table is identical to filling a table of
-// exactly this height.
+// exactly this height. `runs` maps the t.n items to flows: item r is
+// order[runs[r] .. runs[r+1]); empty means one item per flow. A count
+// above t.n repeats the t.n-item optimum.
 Bundling extract_dp_bundling(const DpTables& t,
                              std::span<const std::size_t> order,
-                             std::size_t n_bundles);
+                             std::size_t n_bundles,
+                             std::span<const std::size_t> runs = {});
 
 namespace dp_detail {
 
@@ -346,14 +366,43 @@ const DpCounters& dp_counters();
 
 }  // namespace dp_detail
 
-// Fill the DP tables for `n` sorted flows and rows 1..b_max. The
+// Kernel choice for one fill: the options' forced kernel, or for kAuto
+// the monotonicity probe (counted in bundling.dp_fastpath /
+// dp_fallbacks). Below 4 items auto takes the naive scan unprobed.
+template <class Objective>
+DpDecision choose_kernel(std::size_t n, const Objective& value,
+                         const DpKernelOptions& opt) {
+  DpDecision d;
+  switch (opt.kernel) {
+    case DpKernel::kNaive:
+      return d;
+    case DpKernel::kDivideConquer:
+      d.use_dc = true;
+      return d;
+    case DpKernel::kAuto:
+      break;
+  }
+  if (n < 4) {
+    d.why = "small";
+  } else {
+    d.use_dc = dp_detail::probe_total_monotonicity(n, value);
+    d.why = d.use_dc ? "probe_pass" : "probe_fail";
+  }
+  const auto& counters = dp_detail::dp_counters();
+  (d.use_dc ? counters.fastpath : counters.fallbacks)->add();
+  return d;
+}
+
+// Fill the DP tables for `n` sorted items and rows 1..b_max. The
 // `value(i, k)` objective scores the sorted segment [i, k); callers
-// clamp b_max <= n. Throws std::invalid_argument when n >= 2^32 (split
-// indices are uint32_t).
+// clamp b_max <= n. `flows` is the number of flows the items stand for
+// (0: one flow per item); it only labels the trace span. Throws
+// std::invalid_argument when n >= 2^32 (split indices are uint32_t).
 template <class Objective>
 DpTables fill_dp_tables(std::size_t n, std::size_t b_max,
                         const Objective& value,
-                        const DpKernelOptions& opt = dp_kernel_options_from_env()) {
+                        const DpKernelOptions& opt = dp_kernel_options_from_env(),
+                        std::size_t flows = 0) {
   if (n >= std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument(
         "interval_dp: n must be < 2^32 - 1 (split indices are stored as "
@@ -365,45 +414,33 @@ DpTables fill_dp_tables(std::size_t n, std::size_t b_max,
   if (b_max > 0 && b_max <= n) {
     counters.cells->add(b_max * (n + 1) - b_max * (b_max + 1) / 2);
   }
+  DpTables t;
+  t.n = n;
+  t.b_max = b_max;
+  t.decision = choose_kernel(n, value, opt);
   // The span args string is built only when the tracer is live; an
   // untraced fill pays one relaxed load here and nothing else.
   std::string span_args;
   if (obs::Tracer::instance().active()) {
-    span_args = "{\"n\":" + std::to_string(n) +
-                ",\"b_max\":" + std::to_string(b_max) + "}";
+    span_args = "{\"flows\":" + std::to_string(flows == 0 ? n : flows) +
+                ",\"items\":" + std::to_string(n) +
+                ",\"b_max\":" + std::to_string(b_max) + ",\"kernel\":\"" +
+                t.decision.kernel() + "\",\"why\":\"" + t.decision.why +
+                "\"}";
   }
   const obs::Span span("interval_dp.fill", span_args);
 
-  DpTables t;
-  t.n = n;
-  t.b_max = b_max;
   const std::size_t stride = n + 1;
   t.best.assign((b_max + 1) * stride, dp_detail::kNegInf);
   t.split.assign((b_max + 1) * stride, 0);
   t.best[0] = 0.0;
 
-  bool use_dc = false;
-  switch (opt.kernel) {
-    case DpKernel::kNaive:
-      break;
-    case DpKernel::kDivideConquer:
-      use_dc = true;
-      break;
-    case DpKernel::kAuto:
-      use_dc = dp_detail::probe_total_monotonicity(n, value);
-      if (use_dc) {
-        counters.fastpath->add();
-      } else {
-        counters.fallbacks->add();
-      }
-      break;
-  }
-
   for (std::size_t b = 1; b <= b_max; ++b) {
     const double* prev = t.best.data() + (b - 1) * stride;
     double* best = t.best.data() + b * stride;
     std::uint32_t* split = t.split.data() + b * stride;
-    dp_detail::fill_row(b, n, prev, best, split, value, use_dc, opt);
+    dp_detail::fill_row(b, n, prev, best, split, value, t.decision.use_dc,
+                        opt);
   }
   return t;
 }

@@ -2,11 +2,14 @@
 // optimal-bundling entry points, the DP-kernel benches, and the
 // cross-check tests.
 //
-// Both objectives score a cost-sorted segment [i, j) from prefix sums of
-// the model weights: they are positively homogeneous convex functions of
-// (W, C) = (sum of weights, sum of weight * unit cost), which is what
-// makes them totally monotone for the divide-and-conquer fast path
-// (DESIGN.md §6). Instantiating fill_dp_tables<CedObjective> (or
+// Both objectives score a cost-sorted segment [i, j) of DP items from
+// prefix sums of the model weights: they are positively homogeneous
+// convex functions of (W, C) = (sum of weights, sum of weight * unit
+// cost), which is what makes them totally monotone for the
+// divide-and-conquer fast path (DESIGN.md §6). An item is a run of flows
+// with exactly equal unit cost: the same convexity makes splitting such
+// a run never profitable, so the DP runs over m <= n items instead of n
+// flows (DESIGN.md §6). Instantiating fill_dp_tables<CedObjective> (or
 // <LogitObjective>) compiles the inner loop down to two prefix-sum loads
 // and one fused expression with no std::function dispatch.
 #pragma once
@@ -21,18 +24,28 @@ namespace manytiers::bundling {
 
 struct PrefixSums {
   std::vector<std::size_t> order;  // flow indices sorted by unit cost
-  std::vector<double> w;           // prefix sums of weights
-  std::vector<double> wc;          // prefix sums of weight * cost
+  // m+1 offsets into `order`: item r is the run of equal-cost flows
+  // order[runs[r] .. runs[r+1]).
+  std::vector<std::size_t> runs;
+  std::vector<double> w;   // m+1 prefix sums of weights, at run ends
+  std::vector<double> wc;  // m+1 prefix sums of weight * cost, at run ends
+
+  std::size_t items() const { return runs.empty() ? 0 : runs.size() - 1; }
 };
 
-// Sort by unit cost and accumulate weight prefix sums. `weight` maps a
-// valuation to the model's bundle weight, already normalized by the
-// caller for overflow safety (both objectives are homogeneous in the
-// weights, so normalization does not change the argmax). Throws
-// std::invalid_argument on empty/mismatched inputs or non-positive costs.
+// Stable-sort by unit cost, group exactly-equal costs (plain ==) into
+// runs, and accumulate weight prefix sums flow by flow, kept at run
+// ends. `weight` maps a valuation to the model's bundle weight, already
+// normalized by the caller for overflow safety (both objectives are
+// homogeneous in the weights, so normalization does not change the
+// argmax). With `merge_ties` false every flow is its own item: the
+// unmerged oracle the tests and benches compare against. Throws
+// std::invalid_argument on empty/mismatched inputs or a cost that is not
+// finite and > 0.
 PrefixSums build_prefix_sums(std::span<const double> valuations,
                              std::span<const double> costs,
-                             const std::function<double(double)>& weight);
+                             const std::function<double(double)>& weight,
+                             bool merge_ties = true);
 
 // Sort + prefix sums + the model's segment objective, built once and
 // shared between the single-count entry points and the series variants
@@ -51,9 +64,10 @@ struct CedObjective {
   }
 };
 
-// Validates alpha > 1 and valuations > 0.
+// Validates alpha > 1 and every valuation finite and > 0.
 CedObjective make_ced_objective(std::span<const double> valuations,
-                                std::span<const double> costs, double alpha);
+                                std::span<const double> costs, double alpha,
+                                bool merge_ties = true);
 
 struct LogitObjective {
   PrefixSums ps;
@@ -68,9 +82,9 @@ struct LogitObjective {
   }
 };
 
-// Validates alpha > 0.
+// Validates alpha > 0 and every valuation finite.
 LogitObjective make_logit_objective(std::span<const double> valuations,
                                     std::span<const double> costs,
-                                    double alpha);
+                                    double alpha, bool merge_ties = true);
 
 }  // namespace manytiers::bundling

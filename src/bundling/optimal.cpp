@@ -71,27 +71,36 @@ void require_dp_args(std::size_t n, std::size_t n_bundles) {
 // Shared single-count / series plumbing, templated on the concrete
 // objective so ced_optimal / logit_optimal compile to direct calls into
 // the kernel (the std::function entry points below instantiate it with
-// the type-erased callable).
+// the type-erased callable). `runs` groups the `order`-sorted flows into
+// DP items (PrefixSums::runs); empty means one item per flow.
+template <class Objective>
+DpTables fill_items(std::span<const std::size_t> order,
+                    std::span<const std::size_t> runs, std::size_t n_bundles,
+                    const Objective& value) {
+  require_dp_args(order.size(), n_bundles);
+  const std::size_t items = runs.empty() ? order.size() : runs.size() - 1;
+  return fill_dp_tables(items, std::min(n_bundles, items), value,
+                        dp_kernel_options_from_env(), order.size());
+}
+
 template <class Objective>
 Bundling interval_dp_impl(std::span<const std::size_t> order,
+                          std::span<const std::size_t> runs,
                           std::size_t n_bundles, const Objective& value) {
-  require_dp_args(order.size(), n_bundles);
-  const std::size_t b_max = std::min(n_bundles, order.size());
-  const auto tables = fill_dp_tables(order.size(), b_max, value);
-  return extract_dp_bundling(tables, order, n_bundles);
+  const auto tables = fill_items(order, runs, n_bundles, value);
+  return extract_dp_bundling(tables, order, n_bundles, runs);
 }
 
 template <class Objective>
 std::vector<Bundling> interval_dp_all_impl(std::span<const std::size_t> order,
+                                           std::span<const std::size_t> runs,
                                            std::size_t max_bundles,
                                            const Objective& value) {
-  require_dp_args(order.size(), max_bundles);
-  const std::size_t b_max = std::min(max_bundles, order.size());
-  const auto tables = fill_dp_tables(order.size(), b_max, value);
+  const auto tables = fill_items(order, runs, max_bundles, value);
   std::vector<Bundling> out;
   out.reserve(max_bundles);
   for (std::size_t b = 1; b <= max_bundles; ++b) {
-    out.push_back(extract_dp_bundling(tables, order, b));
+    out.push_back(extract_dp_bundling(tables, order, b, runs));
   }
   return out;
 }
@@ -101,20 +110,20 @@ std::vector<Bundling> interval_dp_all_impl(std::span<const std::size_t> order,
 Bundling interval_dp(std::span<const std::size_t> order, std::size_t n_bundles,
                      const std::function<double(std::size_t, std::size_t)>&
                          segment_value) {
-  return interval_dp_impl(order, n_bundles, segment_value);
+  return interval_dp_impl(order, {}, n_bundles, segment_value);
 }
 
 std::vector<Bundling> interval_dp_all(
     std::span<const std::size_t> order, std::size_t max_bundles,
     const std::function<double(std::size_t, std::size_t)>& segment_value) {
-  return interval_dp_all_impl(order, max_bundles, segment_value);
+  return interval_dp_all_impl(order, {}, max_bundles, segment_value);
 }
 
 Bundling ced_optimal(std::span<const double> valuations,
                      std::span<const double> costs, double alpha,
                      std::size_t n_bundles) {
   const auto obj = make_ced_objective(valuations, costs, alpha);
-  return interval_dp_impl(obj.ps.order, n_bundles, obj);
+  return interval_dp_impl(obj.ps.order, obj.ps.runs, n_bundles, obj);
 }
 
 std::vector<Bundling> ced_optimal_series(std::span<const double> valuations,
@@ -122,14 +131,14 @@ std::vector<Bundling> ced_optimal_series(std::span<const double> valuations,
                                          double alpha,
                                          std::size_t max_bundles) {
   const auto obj = make_ced_objective(valuations, costs, alpha);
-  return interval_dp_all_impl(obj.ps.order, max_bundles, obj);
+  return interval_dp_all_impl(obj.ps.order, obj.ps.runs, max_bundles, obj);
 }
 
 Bundling logit_optimal(std::span<const double> valuations,
                        std::span<const double> costs, double alpha,
                        std::size_t n_bundles) {
   const auto obj = make_logit_objective(valuations, costs, alpha);
-  return interval_dp_impl(obj.ps.order, n_bundles, obj);
+  return interval_dp_impl(obj.ps.order, obj.ps.runs, n_bundles, obj);
 }
 
 std::vector<Bundling> logit_optimal_series(std::span<const double> valuations,
@@ -137,7 +146,7 @@ std::vector<Bundling> logit_optimal_series(std::span<const double> valuations,
                                            double alpha,
                                            std::size_t max_bundles) {
   const auto obj = make_logit_objective(valuations, costs, alpha);
-  return interval_dp_all_impl(obj.ps.order, max_bundles, obj);
+  return interval_dp_all_impl(obj.ps.order, obj.ps.runs, max_bundles, obj);
 }
 
 }  // namespace manytiers::bundling

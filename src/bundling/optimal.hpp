@@ -15,7 +15,10 @@
 // (W, C), so some optimal partition is contiguous in unit cost c_i: sort
 // flows by cost and split into intervals. That makes an O(B n^2) interval
 // DP exact; tests verify it against exhaustive enumeration on small
-// instances for both models.
+// instances for both models. The same convexity shows that no optimum
+// needs to split a run of flows with equal unit cost, so ced_optimal /
+// logit_optimal run the DP over the m <= n distinct-cost runs
+// (DESIGN.md §6) — calibrated markets have few distinct costs.
 #pragma once
 
 #include <functional>
@@ -31,12 +34,14 @@ namespace manytiers::bundling {
 Bundling exhaustive_optimal(std::size_t n_flows, std::size_t max_bundles,
                             const std::function<double(const Bundling&)>& profit);
 
-// Exact optimal bundling for the CED model (interval DP, O(B n^2)).
+// Exact optimal bundling for the CED model (interval DP over the m
+// distinct-cost runs, O(B m^2) worst case).
 Bundling ced_optimal(std::span<const double> valuations,
                      std::span<const double> costs, double alpha,
                      std::size_t n_bundles);
 
-// Exact optimal bundling for the logit model (interval DP, O(B n^2)).
+// Exact optimal bundling for the logit model (interval DP over the m
+// distinct-cost runs, O(B m^2) worst case).
 Bundling logit_optimal(std::span<const double> valuations,
                        std::span<const double> costs, double alpha,
                        std::size_t n_bundles);
@@ -76,10 +81,14 @@ std::vector<Bundling> interval_dp_all(
 // split indices, a divide-and-conquer O(n log n)-per-row fast path when
 // the objective passes the total-monotonicity probe (both CED and logit
 // do; DESIGN.md §6), a naive-fill fallback otherwise, and deterministic
-// chunked parallelism for rows past a width threshold. Output is
-// bit-identical to the naive reference at any thread count; the
-// MANYTIERS_DP_KERNEL env var ("auto" | "naive" | "dc") forces a kernel
-// for A/B byte-compares.
+// chunked parallelism for rows past a width threshold. For a given item
+// set the tables are bit-identical to the naive fill at any thread
+// count; the MANYTIERS_DP_KERNEL env var ("auto" | "naive" | "dc")
+// forces a kernel for A/B byte-compares. ced_optimal* / logit_optimal*
+// fill over merged equal-cost runs and match the per-flow interval_dp
+// fill in profit up to rounding: they can differ only where a bundle
+// count exceeds the number of distinct costs or on floating-point ties,
+// where the per-flow fill may split a run on rounding noise.
 //
 // Instrumentation (obs registry, per-thread sharded, safe under
 // parallel sweeps): "bundling.dp_fills" counts table fills (shared by

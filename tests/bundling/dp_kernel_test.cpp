@@ -4,19 +4,30 @@
 // fill — best AND split tables, compared as raw bytes, plus the
 // extracted Bundlings — on seeded random markets and on adversarial tie
 // instances. A synthetic non-monotone objective must trip the probe and
-// take the (counted) fallback path.
+// take the (counted) fallback path. On the calibrated paper markets the
+// grids run, the merged fill (equal-cost runs as single items) is held
+// to the per-flow naive fill as the oracle.
 #include "bundling/dp_kernel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "bundling/objectives.hpp"
+#include "bundling/optimal.hpp"
+#include "cost/cost.hpp"
 #include "obs/registry.hpp"
+#include "pricing/engine.hpp"
+#include "pricing/scenario.hpp"
 #include "util/rng.hpp"
+#include "workload/generators.hpp"
 
 namespace manytiers::bundling {
 namespace {
@@ -51,19 +62,22 @@ void expect_tables_identical(const DpTables& a, const DpTables& b,
       << label << ": split tables differ";
 }
 
+// Fills over the objective's DP items (one per run of equal-cost
+// flows), so the item count, not the flow count, sizes the tables.
 template <class Objective>
-void cross_check(std::size_t n, std::size_t b_max, const Objective& obj,
-                 std::span<const std::size_t> order, const char* label) {
+void cross_check(const Objective& obj, std::size_t b_max, const char* label) {
+  const std::size_t items = obj.ps.items();
+  b_max = std::min(b_max, items);
   DpKernelOptions naive;
   naive.kernel = DpKernel::kNaive;
   DpKernelOptions autok;
   autok.kernel = DpKernel::kAuto;
-  const auto ref = fill_dp_tables(n, b_max, obj, naive);
-  const auto fast = fill_dp_tables(n, b_max, obj, autok);
+  const auto ref = fill_dp_tables(items, b_max, obj, naive);
+  const auto fast = fill_dp_tables(items, b_max, obj, autok);
   expect_tables_identical(ref, fast, label);
   for (std::size_t b = 1; b <= b_max; ++b) {
-    EXPECT_EQ(extract_dp_bundling(ref, order, b),
-              extract_dp_bundling(fast, order, b))
+    EXPECT_EQ(extract_dp_bundling(ref, obj.ps.order, b, obj.ps.runs),
+              extract_dp_bundling(fast, obj.ps.order, b, obj.ps.runs))
         << label << " b=" << b;
   }
 }
@@ -82,8 +96,9 @@ TEST(DpKernelCrossCheck, CedSeededRandomMarkets) {
     for (const std::size_t n : {16u, 40u, 300u}) {
       const auto inst = random_instance(seed, n);
       const auto obj = make_ced_objective(inst.v, inst.c, 1.6);
+      ASSERT_EQ(obj.ps.items(), n);  // continuous costs: no ties
       fast.reset();
-      cross_check(n, std::min<std::size_t>(8, n), obj, obj.ps.order, "ced");
+      cross_check(obj, std::min<std::size_t>(8, n), "ced");
       // The real CED objective is totally monotone: the probe must have
       // let the divide-and-conquer path run (one auto fill above).
       EXPECT_EQ(fast.value(), 1u) << "seed=" << seed << " n=" << n;
@@ -99,18 +114,20 @@ TEST(DpKernelCrossCheck, LogitSeededRandomMarkets) {
     for (const std::size_t n : {25u, 120u, 300u}) {
       const auto inst = random_instance(seed + 100, n);
       const auto obj = make_logit_objective(inst.v, inst.c, 1.2);
+      ASSERT_EQ(obj.ps.items(), n);
       fast.reset();
-      cross_check(n, std::min<std::size_t>(6, n), obj, obj.ps.order, "logit");
+      cross_check(obj, std::min<std::size_t>(6, n), "logit");
       EXPECT_EQ(fast.value(), 1u) << "seed=" << seed << " n=" << n;
     }
   }
 }
 
 TEST(DpKernelCrossCheck, EqualCostTies) {
-  // Every flow at the same unit cost: segment values tie all over the
-  // table; whatever path auto takes (ulp-level probe violations may
-  // legitimately force the fallback here), the tables must match the
-  // naive reference exactly — lowest-split-wins everywhere.
+  // Every flow at the same unit cost: the merged objective has a single
+  // item. Scored per flow, segment values tie all over the table;
+  // whatever path auto takes there (ulp-level probe violations may
+  // legitimately force the fallback), the tables must match the naive
+  // reference exactly — lowest-split-wins everywhere.
   const std::size_t n = 64;
   std::vector<double> v, c;
   util::Rng rng(99);
@@ -119,9 +136,40 @@ TEST(DpKernelCrossCheck, EqualCostTies) {
     c.push_back(2.5);
   }
   const auto ced = make_ced_objective(v, c, 1.5);
-  cross_check(n, 8, ced, ced.ps.order, "ced equal costs");
+  ASSERT_EQ(ced.ps.items(), 1u);
+  cross_check(ced, 8, "ced equal costs");
+  cross_check(make_ced_objective(v, c, 1.5, /*merge_ties=*/false), 8,
+              "ced equal costs, per flow");
   const auto logit = make_logit_objective(v, c, 1.1);
-  cross_check(n, 8, logit, logit.ps.order, "logit equal costs");
+  ASSERT_EQ(logit.ps.items(), 1u);
+  cross_check(logit, 8, "logit equal costs");
+  cross_check(make_logit_objective(v, c, 1.1, /*merge_ties=*/false), 8,
+              "logit equal costs, per flow");
+}
+
+TEST(DpKernelCrossCheck, EqualCostRunsMergeIntoItems) {
+  // Three cost levels: the DP sees three items whose prefix sums are
+  // bitwise the per-flow sums at each run end, and every extracted
+  // bundle is a union of whole runs.
+  const std::vector<double> v{1.0, 2.0, 1.5, 0.7, 2.2, 1.1, 0.9};
+  const std::vector<double> c{3.0, 1.0, 3.0, 2.0, 1.0, 2.0, 3.0};
+  const auto ced = make_ced_objective(v, c, 1.8);
+  EXPECT_EQ(ced.ps.runs, (std::vector<std::size_t>{0, 2, 4, 7}));
+  const auto flat = make_ced_objective(v, c, 1.8, /*merge_ties=*/false);
+  EXPECT_EQ(flat.ps.items(), v.size());
+  for (std::size_t r = 0; r < ced.ps.runs.size(); ++r) {
+    EXPECT_EQ(ced.ps.w[r], flat.ps.w[ced.ps.runs[r]]) << "r=" << r;
+    EXPECT_EQ(ced.ps.wc[r], flat.ps.wc[ced.ps.runs[r]]) << "r=" << r;
+  }
+  cross_check(ced, 3, "ced three runs");
+  const auto t = fill_dp_tables(ced.ps.items(), std::size_t{3}, ced);
+  // More bundles than items repeats the all-items optimum.
+  EXPECT_EQ(extract_dp_bundling(t, ced.ps.order, 5, ced.ps.runs),
+            extract_dp_bundling(t, ced.ps.order, 3, ced.ps.runs));
+  // Three bundles over three items: one bundle per cost level, every
+  // flow of the run in it, in stable-sort order.
+  EXPECT_EQ(extract_dp_bundling(t, ced.ps.order, 3, ced.ps.runs),
+            (Bundling{{1, 4}, {3, 5}, {0, 2, 6}}));
 }
 
 TEST(DpKernelCrossCheck, DuplicateValuations) {
@@ -131,9 +179,9 @@ TEST(DpKernelCrossCheck, DuplicateValuations) {
   util::Rng rng(123);
   for (std::size_t i = 0; i < n; ++i) c.push_back(rng.uniform(0.2, 5.0));
   const auto ced = make_ced_objective(v, c, 2.0);
-  cross_check(n, 6, ced, ced.ps.order, "ced duplicate valuations");
+  cross_check(ced, 6, "ced duplicate valuations");
   const auto logit = make_logit_objective(v, c, 1.3);
-  cross_check(n, 6, logit, logit.ps.order, "logit duplicate valuations");
+  cross_check(logit, 6, "logit duplicate valuations");
 }
 
 TEST(DpKernelCrossCheck, SingleFlowBundles) {
@@ -142,14 +190,14 @@ TEST(DpKernelCrossCheck, SingleFlowBundles) {
   const std::size_t n = 12;
   const auto inst = random_instance(77, n);
   const auto obj = make_ced_objective(inst.v, inst.c, 1.4);
-  cross_check(n, n, obj, obj.ps.order, "singleton bundles");
+  cross_check(obj, n, "singleton bundles");
 }
 
 TEST(DpKernelCrossCheck, TinyInstances) {
   for (const std::size_t n : {1u, 2u, 3u, 4u, 5u}) {
     const auto inst = random_instance(31 + n, n);
     const auto obj = make_ced_objective(inst.v, inst.c, 1.6);
-    cross_check(n, n, obj, obj.ps.order, "tiny");
+    cross_check(obj, n, "tiny");
   }
 }
 
@@ -189,6 +237,31 @@ TEST(DpKernelFallback, NonMonotoneObjectiveTakesNaivePath) {
   EXPECT_EQ(b[0].size(), n);
 }
 
+TEST(DpKernelDecision, RecordsKernelAndReason) {
+  const auto inst = random_instance(6, 40);
+  const auto obj = make_ced_objective(inst.v, inst.c, 1.6);
+  DpKernelOptions opt;
+  const auto probed = fill_dp_tables(std::size_t{40}, std::size_t{3}, obj, opt);
+  EXPECT_STREQ(probed.decision.kernel(), "dc");
+  EXPECT_STREQ(probed.decision.why, "probe_pass");
+  const auto small = fill_dp_tables(std::size_t{3}, std::size_t{3}, obj, opt);
+  EXPECT_STREQ(small.decision.kernel(), "naive");
+  EXPECT_STREQ(small.decision.why, "small");
+  const auto failed =
+      fill_dp_tables(std::size_t{50}, std::size_t{3}, NonMonotoneObjective{},
+                     opt);
+  EXPECT_STREQ(failed.decision.kernel(), "naive");
+  EXPECT_STREQ(failed.decision.why, "probe_fail");
+  opt.kernel = DpKernel::kDivideConquer;
+  const auto forced = fill_dp_tables(std::size_t{40}, std::size_t{3}, obj, opt);
+  EXPECT_STREQ(forced.decision.kernel(), "dc");
+  EXPECT_STREQ(forced.decision.why, "forced");
+  opt.kernel = DpKernel::kNaive;
+  const auto naive = fill_dp_tables(std::size_t{40}, std::size_t{3}, obj, opt);
+  EXPECT_STREQ(naive.decision.kernel(), "naive");
+  EXPECT_STREQ(naive.decision.why, "forced");
+}
+
 TEST(DpKernelFallback, ProbeRejectsTinyN) {
   // n < 4 has no quadruple to test; auto must take (and count) the
   // naive path rather than run an unprobed D&C.
@@ -210,6 +283,7 @@ TEST(DpKernelParallel, BitIdenticalAcrossThreadCountsAndChunkings) {
   const std::size_t n = 3000;
   const auto inst = random_instance(2024, n);
   const auto obj = make_ced_objective(inst.v, inst.c, 1.7);
+  ASSERT_EQ(obj.ps.items(), n);
 
   for (const DpKernel kernel : {DpKernel::kNaive, DpKernel::kDivideConquer}) {
     DpKernelOptions serial;
@@ -281,6 +355,141 @@ TEST(DpKernelOptionsEnv, KernelOverrideParses) {
   EXPECT_EQ(dp_kernel_options_from_env().kernel, DpKernel::kAuto);
   ASSERT_EQ(unsetenv("MANYTIERS_DP_KERNEL"), 0);
   EXPECT_EQ(dp_kernel_options_from_env().kernel, DpKernel::kAuto);
+}
+
+// --- Calibrated paper markets: merged fill vs the per-flow oracle ---
+//
+// Every dataset x cost model x demand model the grids run. ced_optimal /
+// logit_optimal fill over runs of equal unit cost; the per-flow naive
+// fill (interval_dp_all over unmerged prefix sums) is the oracle.
+// Checked per market:
+//   (a) the merged fill is bit-identical under forced naive, dc and auto;
+//   (b) for every bundle count, the priced profit matches the oracle's
+//       within 1e-12 relative;
+//   (c) no bundle splits a run of equal cost, and there are at most as
+//       many bundles as distinct costs.
+
+constexpr std::size_t kCalibratedFlows = 300;
+constexpr std::size_t kCalibratedBundles = 6;
+
+struct CostCase {
+  const char* name;
+  std::unique_ptr<cost::CostModel> (*make)(double theta);
+};
+
+std::unique_ptr<cost::CostModel> concave(double theta) {
+  return cost::make_concave_cost(theta);
+}
+
+const CostCase kCosts[] = {
+    {"linear", &cost::make_linear_cost},
+    {"concave", &concave},
+    {"regional", &cost::make_regional_cost},
+    {"dest-type", &cost::make_dest_type_cost},
+};
+
+// Sets MANYTIERS_DP_KERNEL for one scope, so the std::function entry
+// points (which read the env) run the naive reference fill.
+class ScopedKernelEnv {
+ public:
+  explicit ScopedKernelEnv(const char* kernel) {
+    setenv("MANYTIERS_DP_KERNEL", kernel, 1);
+  }
+  ~ScopedKernelEnv() { unsetenv("MANYTIERS_DP_KERNEL"); }
+  ScopedKernelEnv(const ScopedKernelEnv&) = delete;
+  ScopedKernelEnv& operator=(const ScopedKernelEnv&) = delete;
+};
+
+template <class Objective>
+void check_market(const pricing::Market& market, const Objective& obj,
+                  const Objective& flat, const std::vector<Bundling>& merged,
+                  const std::string& label) {
+  const auto& c = market.costs();
+  const std::size_t items = obj.ps.items();
+  const std::size_t b_max = std::min(kCalibratedBundles, items);
+
+  // (a) One item set, three kernels, one set of bytes.
+  DpKernelOptions opt;
+  opt.kernel = DpKernel::kNaive;
+  const auto naive = fill_dp_tables(items, b_max, obj, opt);
+  opt.kernel = DpKernel::kDivideConquer;
+  const auto dc = fill_dp_tables(items, b_max, obj, opt);
+  opt.kernel = DpKernel::kAuto;
+  const auto autok = fill_dp_tables(items, b_max, obj, opt);
+  expect_tables_identical(naive, dc, (label + ": naive vs dc").c_str());
+  expect_tables_identical(naive, autok, (label + ": naive vs auto").c_str());
+
+  // (b) Profit per bundle count against the per-flow naive oracle.
+  ASSERT_EQ(flat.ps.items(), market.size()) << label;
+  std::vector<Bundling> oracle;
+  {
+    const ScopedKernelEnv naive_env("naive");
+    oracle = interval_dp_all(
+        flat.ps.order, kCalibratedBundles,
+        [&flat](std::size_t i, std::size_t k) { return flat(i, k); });
+  }
+  ASSERT_EQ(merged.size(), kCalibratedBundles) << label;
+  for (std::size_t b = 1; b <= kCalibratedBundles; ++b) {
+    const double got = pricing::price_bundles(market, merged[b - 1]).profit;
+    const double want = pricing::price_bundles(market, oracle[b - 1]).profit;
+    EXPECT_LE(std::abs(got - want), 1e-12 * std::abs(want))
+        << label << " B=" << b << ": merged " << got << " vs per-flow "
+        << want;
+  }
+
+  // (c) Whole runs only, at most one bundle per distinct cost.
+  for (std::size_t b = 1; b <= kCalibratedBundles; ++b) {
+    const Bundling& bundling = merged[b - 1];
+    EXPECT_LE(bundling.size(), items) << label << " B=" << b;
+    std::map<double, std::size_t> bundle_of_cost;
+    for (std::size_t x = 0; x < bundling.size(); ++x) {
+      for (const std::size_t i : bundling[x]) {
+        const auto [it, fresh] = bundle_of_cost.emplace(c[i], x);
+        EXPECT_TRUE(fresh || it->second == x)
+            << label << " B=" << b << ": cost " << c[i]
+            << " split across bundles " << it->second << " and " << x;
+      }
+    }
+    EXPECT_EQ(bundle_of_cost.size(), items) << label << " B=" << b;
+  }
+}
+
+TEST(CalibratedOracle, MergedDpMatchesPerFlowNaiveOnEveryPaperMarket) {
+  for (const auto dataset : {workload::DatasetKind::EuIsp,
+                             workload::DatasetKind::Internet2,
+                             workload::DatasetKind::Cdn}) {
+    const auto flows = workload::generate_dataset(
+        dataset, {.seed = 42, .n_flows = kCalibratedFlows});
+    for (const auto& cost_case : kCosts) {
+      const auto cost_model = cost_case.make(0.2);
+      for (const auto kind : {demand::DemandKind::ConstantElasticity,
+                              demand::DemandKind::Logit}) {
+        pricing::DemandSpec spec;
+        spec.kind = kind;
+        const auto market =
+            pricing::Market::calibrate(flows, spec, *cost_model, 20.0);
+        const std::string label = std::string(workload::to_string(dataset)) +
+                                  "/" + cost_case.name + "/" +
+                                  (kind == demand::DemandKind::Logit
+                                       ? "logit"
+                                       : "ced");
+        const auto& v = market.valuations();
+        const auto& c = market.costs();
+        const double alpha = spec.alpha;
+        if (kind == demand::DemandKind::ConstantElasticity) {
+          check_market(market, make_ced_objective(v, c, alpha),
+                       make_ced_objective(v, c, alpha, /*merge_ties=*/false),
+                       ced_optimal_series(v, c, alpha, kCalibratedBundles),
+                       label);
+        } else {
+          check_market(market, make_logit_objective(v, c, alpha),
+                       make_logit_objective(v, c, alpha, /*merge_ties=*/false),
+                       logit_optimal_series(v, c, alpha, kCalibratedBundles),
+                       label);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "demand/ced.hpp"
@@ -317,6 +318,42 @@ TEST(OptimalBundling, ValidatesArguments) {
                std::invalid_argument);
   EXPECT_THROW(logit_optimal(v, std::vector<double>{1.0, 1.0}, 0.0, 2),
                std::invalid_argument);
+  EXPECT_THROW(ced_optimal({}, {}, 2.0, 2), std::invalid_argument);
+  EXPECT_THROW(logit_optimal({}, {}, 1.0, 2), std::invalid_argument);
+}
+
+TEST(OptimalBundling, RejectsNonFiniteOrNonPositiveInputs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> v{2.0, 1.0, 3.0};
+  const std::vector<double> c{1.0, 2.0, 3.0};
+  // Every CED valuation must be finite and > 0, not just the largest.
+  EXPECT_THROW(ced_optimal(std::vector<double>{2.0, -1.0, 3.0}, c, 1.5, 2),
+               std::invalid_argument);
+  EXPECT_THROW(ced_optimal(std::vector<double>{2.0, 0.0, 3.0}, c, 1.5, 2),
+               std::invalid_argument);
+  EXPECT_THROW(ced_optimal(std::vector<double>{2.0, nan, 3.0}, c, 1.5, 2),
+               std::invalid_argument);
+  EXPECT_THROW(ced_optimal(std::vector<double>{2.0, inf, 3.0}, c, 1.5, 2),
+               std::invalid_argument);
+  // Logit valuations may be negative but must be finite.
+  EXPECT_NO_THROW(
+      logit_optimal(std::vector<double>{2.0, -1.0, 3.0}, c, 1.2, 2));
+  EXPECT_THROW(logit_optimal(std::vector<double>{2.0, nan, 3.0}, c, 1.2, 2),
+               std::invalid_argument);
+  EXPECT_THROW(logit_optimal(std::vector<double>{-inf, 1.0, 3.0}, c, 1.2, 2),
+               std::invalid_argument);
+  // Every cost must be finite and > 0, checked before the sort sees it.
+  for (const double bad : {nan, inf, -inf, 0.0, -2.0}) {
+    const std::vector<double> bad_c{1.0, bad, 3.0};
+    EXPECT_THROW(ced_optimal(v, bad_c, 1.5, 2), std::invalid_argument) << bad;
+    EXPECT_THROW(logit_optimal(v, bad_c, 1.2, 2), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(ced_optimal_series(v, bad_c, 1.5, 2), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(logit_optimal_series(v, bad_c, 1.2, 2), std::invalid_argument)
+        << bad;
+  }
 }
 
 }  // namespace

@@ -100,6 +100,7 @@ TEST(Tracer, TracingAndMetricsNeverChangeReportBytes) {
   bool saw_chunk = false;
   bool saw_calibrate = false;
   bool saw_sweep = false;
+  std::size_t dp_fills = 0;
   for (const auto& event : events) {
     ASSERT_TRUE(event.front() == '{' && event.back() == '}') << event;
     const std::string ph = field(event, "ph");
@@ -113,6 +114,29 @@ TEST(Tracer, TracingAndMetricsNeverChangeReportBytes) {
       if (name == "\"parallel_for.chunk\"") saw_chunk = true;
       if (name == "\"run_grid.calibrate\"") saw_calibrate = true;
       if (name == "\"run_grid.sweep\"") saw_sweep = true;
+      if (name == "\"interval_dp.fill\"") {
+        // Decision provenance: what the fill ran over, which row kernel
+        // ran, and why.
+        ++dp_fills;
+        const std::string flows = field(event, "flows");
+        const std::string items = field(event, "items");
+        ASSERT_FALSE(flows.empty()) << event;
+        ASSERT_FALSE(items.empty()) << event;
+        EXPECT_GE(std::stoul(items), 1u) << event;
+        EXPECT_LE(std::stoul(items), std::stoul(flows)) << event;
+        EXPECT_FALSE(field(event, "b_max").empty()) << event;
+        const std::string kernel = field(event, "kernel");
+        const std::string why = field(event, "why");
+        EXPECT_TRUE(kernel == "\"dc\"" || kernel == "\"naive\"") << event;
+        if (why == "\"probe_pass\"") {
+          EXPECT_EQ(kernel, "\"dc\"") << event;
+        } else {
+          // Auto only falls back on a failed probe or too few items.
+          EXPECT_TRUE(why == "\"probe_fail\"" || why == "\"small\"")
+              << event;
+          EXPECT_EQ(kernel, "\"naive\"") << event;
+        }
+      }
     } else if (ph == "\"E\"") {
       ASSERT_FALSE(stacks[track].empty())
           << "E with no open B on track " << track.first << "/" << track.second;
@@ -129,6 +153,8 @@ TEST(Tracer, TracingAndMetricsNeverChangeReportBytes) {
   EXPECT_TRUE(saw_calibrate);
   EXPECT_TRUE(saw_sweep);
   EXPECT_TRUE(saw_chunk);
+  // One Optimal series per market: 3 datasets x 2 demand models.
+  EXPECT_EQ(dp_fills, 6u);
 }
 
 }  // namespace

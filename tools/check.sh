@@ -2,6 +2,7 @@
 # Tier-1 gate plus sanitizer pass for the process-supervision paths.
 #
 #   tools/check.sh            # full build + full ctest + bench gates +
+#                             # costmodels kernel byte-compare +
 #                             # serve smoke (incl. live stats polls), then
 #                             # ASan+UBSan build +
 #                             # `ctest -L "obs|orchestrator|serve|netdyn|topology"`,
@@ -53,6 +54,21 @@ if command -v python3 >/dev/null 2>&1; then
 else
   echo "check.sh: python3 not found, skipping dp kernel gate"
 fi
+
+echo "== dp kernel: costmodels report byte-compare across kernels =="
+# End-to-end kernel equality on the calibrated paper markets the grids
+# run: the costmodels grid with each kernel forced in turn must write
+# the same report bytes (the DP fills over equal-cost runs, so every
+# kernel sees the same items).
+kc_dir="$repo/build/dp_kernel_reports"
+mkdir -p "$kc_dir"
+for kernel in naive dc auto; do
+  MANYTIERS_DP_KERNEL="$kernel" "$repo/build/src/manytiers_batch" \
+    --grid costmodels --no-timing --out "$kc_dir/costmodels.$kernel.batch"
+done
+cmp "$kc_dir/costmodels.naive.batch" "$kc_dir/costmodels.dc.batch"
+cmp "$kc_dir/costmodels.naive.batch" "$kc_dir/costmodels.auto.batch"
+echo "check.sh: costmodels report byte-identical under naive, dc and auto"
 
 echo "== netdyn: incremental-vs-naive speedup gate =="
 if command -v python3 >/dev/null 2>&1; then
