@@ -78,7 +78,8 @@ Bundling token_bucket_ordered(std::span<const double> weights,
 std::vector<Bundling> token_bucket_series(std::span<const double> weights,
                                           std::size_t max_bundles) {
   if (max_bundles == 0) {
-    throw std::invalid_argument("token_bucket: need at least one bundle");
+    throw std::invalid_argument(
+        "token_bucket_series: need at least one bundle");
   }
   const auto order = sorted_desc(weights);
   std::vector<Bundling> out;
@@ -144,10 +145,11 @@ std::vector<Bundling> profit_weighted_series(
     std::span<const double> potential_profits, std::span<const double> costs,
     std::size_t max_bundles) {
   if (costs.size() != potential_profits.size()) {
-    throw std::invalid_argument("profit_weighted: costs size mismatch");
+    throw std::invalid_argument("profit_weighted_series: costs size mismatch");
   }
   if (max_bundles == 0) {
-    throw std::invalid_argument("token_bucket: need at least one bundle");
+    throw std::invalid_argument(
+        "profit_weighted_series: need at least one bundle");
   }
   const auto order = sorted_by_cost(costs);
   std::vector<Bundling> out;
@@ -195,9 +197,10 @@ Bundling cost_division(std::span<const double> costs, std::size_t n_bundles) {
 
 std::vector<Bundling> cost_division_series(std::span<const double> costs,
                                            std::size_t max_bundles) {
-  require_weights(costs, "cost_division");
+  require_weights(costs, "cost_division_series");
   if (max_bundles == 0) {
-    throw std::invalid_argument("cost_division: need at least one bundle");
+    throw std::invalid_argument(
+        "cost_division_series: need at least one bundle");
   }
   const double cmax = *std::max_element(costs.begin(), costs.end());
   std::vector<Bundling> out;
@@ -218,9 +221,10 @@ Bundling index_division(std::span<const double> costs, std::size_t n_bundles) {
 
 std::vector<Bundling> index_division_series(std::span<const double> costs,
                                             std::size_t max_bundles) {
-  require_weights(costs, "index_division");
+  require_weights(costs, "index_division_series");
   if (max_bundles == 0) {
-    throw std::invalid_argument("index_division: need at least one bundle");
+    throw std::invalid_argument(
+        "index_division_series: need at least one bundle");
   }
   const auto idx = sorted_by_cost(costs);
   std::vector<Bundling> out;

@@ -19,6 +19,24 @@ void require_same_nonempty(std::span<const double> a, std::span<const double> b,
                                 ": inputs must be equal-size and non-empty");
   }
 }
+
+// Eq. 5 over the flows at(0), ..., at(count - 1):
+// P* = alpha * sum(c v^alpha) / ((alpha - 1) * sum(v^alpha)).
+template <typename At>
+double bundle_price_over(double alpha, std::span<const double> valuations,
+                         std::span<const double> costs, std::size_t count,
+                         At at) {
+  double num = 0.0, den = 0.0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t i = at(k);
+    require_positive(valuations[i], "valuation");
+    require_positive(costs[i], "cost");
+    const double w = std::pow(valuations[i], alpha);
+    num += costs[i] * w;
+    den += w;
+  }
+  return alpha * num / ((alpha - 1.0) * den);
+}
 }  // namespace
 
 CedModel::CedModel(double alpha) : alpha_(alpha) {
@@ -62,16 +80,25 @@ double CedModel::consumer_surplus(double valuation, double price) const {
 double CedModel::bundle_price(std::span<const double> valuations,
                               std::span<const double> costs) const {
   require_same_nonempty(valuations, costs, "bundle_price");
-  // Eq. 5: P* = alpha * sum(c v^alpha) / ((alpha - 1) * sum(v^alpha)).
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < valuations.size(); ++i) {
-    require_positive(valuations[i], "valuation");
-    require_positive(costs[i], "cost");
-    const double w = std::pow(valuations[i], alpha_);
-    num += costs[i] * w;
-    den += w;
+  return bundle_price_over(alpha_, valuations, costs, valuations.size(),
+                           [](std::size_t k) { return k; });
+}
+
+double CedModel::bundle_price(std::span<const double> valuations,
+                              std::span<const double> costs,
+                              std::span<const std::size_t> members) const {
+  if (members.empty() || valuations.size() != costs.size()) {
+    throw std::invalid_argument(
+        "bundle_price: need a non-empty bundle over equal-size columns");
   }
-  return alpha_ * num / ((alpha_ - 1.0) * den);
+  return bundle_price_over(alpha_, valuations, costs, members.size(),
+                           [&](std::size_t k) {
+                             if (members[k] >= valuations.size()) {
+                               throw std::invalid_argument(
+                                   "bundle_price: member out of range");
+                             }
+                             return members[k];
+                           });
 }
 
 double CedModel::total_profit(std::span<const double> valuations,

@@ -45,6 +45,13 @@ class CedModel {
   // Profit-maximizing common price for a bundle of flows (Eq. 5).
   double bundle_price(std::span<const double> valuations,
                       std::span<const double> costs) const;
+  // The same price for the flows `members` of the full valuation and
+  // cost columns, read in place instead of gathered into copies. Both
+  // overloads run one loop, so the result equals the gathered overload's
+  // over the members in the same order, bit for bit.
+  double bundle_price(std::span<const double> valuations,
+                      std::span<const double> costs,
+                      std::span<const std::size_t> members) const;
 
   // Total profit when every flow i is charged prices[i].
   double total_profit(std::span<const double> valuations,

@@ -17,6 +17,30 @@ void require_same_nonempty(std::span<const double> a, std::span<const double> b,
                                 ": inputs must be equal-size and non-empty");
   }
 }
+
+// Eqs. 10-11 over the flows at(0), ..., at(count - 1), computed stably
+// around the largest valuation:
+//   v_b = max_v + ln(sum_i w_i) / alpha,  c_b = sum_i c_i w_i / sum_i w_i,
+//   w_i = e^{alpha (v_i - max_v)}.
+// The cost sum is skipped when kWithCost is false (costs may be empty).
+template <bool kWithCost, typename At>
+LogitModel::BundleAggregate aggregate_over(double alpha,
+                                           std::span<const double> valuations,
+                                           std::span<const double> costs,
+                                           std::size_t count, At at) {
+  double vmax = valuations[at(0)];
+  for (std::size_t k = 1; k < count; ++k) {
+    vmax = std::max(vmax, valuations[at(k)]);
+  }
+  double sum = 0.0, num = 0.0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t i = at(k);
+    const double w = std::exp(alpha * (valuations[i] - vmax));
+    if constexpr (kWithCost) num += costs[i] * w;
+    sum += w;
+  }
+  return {vmax + std::log(sum) / alpha, num / sum};
+}
 }  // namespace
 
 LogitModel::LogitModel(double alpha, double market_size)
@@ -31,18 +55,20 @@ std::vector<double> LogitModel::shares(std::span<const double> valuations,
                                        std::span<const double> prices) const {
   require_same_nonempty(valuations, prices, "shares");
   // Numerically stable softmax against the outside option's utility 0.
+  // `out` holds the utilities, then each e^{u_i - max_u} (computed once),
+  // then the shares.
   double max_u = 0.0;
-  std::vector<double> utils(valuations.size());
-  for (std::size_t i = 0; i < valuations.size(); ++i) {
-    utils[i] = alpha_ * (valuations[i] - prices[i]);
-    max_u = std::max(max_u, utils[i]);
-  }
-  double denom = std::exp(-max_u);  // the outside option
-  for (double u : utils) denom += std::exp(u - max_u);
   std::vector<double> out(valuations.size());
   for (std::size_t i = 0; i < valuations.size(); ++i) {
-    out[i] = std::exp(utils[i] - max_u) / denom;
+    out[i] = alpha_ * (valuations[i] - prices[i]);
+    max_u = std::max(max_u, out[i]);
   }
+  double denom = std::exp(-max_u);  // the outside option
+  for (double& e : out) {
+    e = std::exp(e - max_u);
+    denom += e;
+  }
+  for (double& e : out) e /= denom;
   return out;
 }
 
@@ -165,25 +191,34 @@ double LogitModel::bundle_valuation(std::span<const double> valuations) const {
   if (valuations.empty()) {
     throw std::invalid_argument("bundle_valuation: empty bundle");
   }
-  // Eq. 10, computed stably: v_b = max_v + ln(sum e^{alpha(v_i-max_v)})/alpha.
-  const double vmax = *std::max_element(valuations.begin(), valuations.end());
-  double sum = 0.0;
-  for (double v : valuations) sum += std::exp(alpha_ * (v - vmax));
-  return vmax + std::log(sum) / alpha_;
+  return aggregate_over<false>(alpha_, valuations, {}, valuations.size(),
+                               [](std::size_t k) { return k; })
+      .valuation;
 }
 
 double LogitModel::bundle_cost(std::span<const double> valuations,
                                std::span<const double> costs) const {
   require_same_nonempty(valuations, costs, "bundle_cost");
-  // Eq. 11: share-weighted average unit cost of the bundled flows.
-  const double vmax = *std::max_element(valuations.begin(), valuations.end());
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < valuations.size(); ++i) {
-    const double w = std::exp(alpha_ * (valuations[i] - vmax));
-    num += costs[i] * w;
-    den += w;
+  return aggregate_over<true>(alpha_, valuations, costs, valuations.size(),
+                              [](std::size_t k) { return k; })
+      .cost;
+}
+
+LogitModel::BundleAggregate LogitModel::bundle_aggregate(
+    std::span<const double> valuations, std::span<const double> costs,
+    std::span<const std::size_t> members) const {
+  if (members.empty() || valuations.size() != costs.size()) {
+    throw std::invalid_argument(
+        "bundle_aggregate: need a non-empty bundle over equal-size columns");
   }
-  return num / den;
+  return aggregate_over<true>(alpha_, valuations, costs, members.size(),
+                              [&](std::size_t k) {
+                                if (members[k] >= valuations.size()) {
+                                  throw std::invalid_argument(
+                                      "bundle_aggregate: member out of range");
+                                }
+                                return members[k];
+                              });
 }
 
 ValuationFit LogitModel::fit_valuations(std::span<const double> demands,

@@ -77,6 +77,19 @@ class LogitModel {
   double bundle_cost(std::span<const double> valuations,
                      std::span<const double> costs) const;
 
+  // Both aggregates at once for the flows `members` of the full valuation
+  // and cost columns, read in place. Each flow's weight
+  // e^{alpha (v_i - max v)} is computed once and feeds both sums; the
+  // gathered bundle_valuation/bundle_cost run the same loop, so the result
+  // equals them over the members in the same order, bit for bit.
+  struct BundleAggregate {
+    double valuation = 0.0;  // Eq. 10
+    double cost = 0.0;       // Eq. 11
+  };
+  BundleAggregate bundle_aggregate(std::span<const double> valuations,
+                                   std::span<const double> costs,
+                                   std::span<const std::size_t> members) const;
+
   // --- Calibration (paper §4.1.2 / §4.1.3) ---
 
   // Fit valuations from observed demands at blended rate P0, given the

@@ -50,9 +50,9 @@ BatchReport run_grid(const ExperimentGrid& grid, const RunOptions& options) {
   const std::size_t n_cost = grid.cost_kinds.size();
   const std::size_t n_strat = grid.strategies.size();
 
-  // Shared per-run inputs: each dataset generates once (unless the caller
-  // supplied re-costed flow sets), each cost model builds once; both are
-  // read-only during the parallel phases.
+  // Shared per-run inputs: the datasets generate once, side by side
+  // (unless the caller supplied re-costed flow sets), each cost model
+  // builds once; both are read-only during the parallel phases.
   std::vector<workload::FlowSet> generated;
   if (options.flows_override) {
     if (options.flows_override->size() != grid.datasets.size()) {
@@ -60,11 +60,9 @@ BatchReport run_grid(const ExperimentGrid& grid, const RunOptions& options) {
           "run_grid: flows_override needs one flow set per grid dataset");
     }
   } else {
-    generated.reserve(grid.datasets.size());
-    for (const auto kind : grid.datasets) {
-      generated.push_back(workload::generate_dataset(
-          kind, {.seed = grid.base.seed, .n_flows = grid.base.n_flows}));
-    }
+    generated = workload::generate_datasets(
+        grid.datasets, {.seed = grid.base.seed, .n_flows = grid.base.n_flows},
+        options.threads);
   }
   const std::vector<workload::FlowSet>& flows =
       options.flows_override ? *options.flows_override : generated;

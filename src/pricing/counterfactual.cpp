@@ -107,7 +107,7 @@ std::vector<bundling::Bundling> bundling_series(const Market& market,
                                                 market.demand_spec().alpha,
                                                 max_bundles);
       }
-      throw std::logic_error("build_bundling_series: unknown demand kind");
+      throw std::logic_error("bundling_series: unknown demand kind");
     case Strategy::DemandWeighted:
       return bundling::demand_weighted_series(market.flows().demands(),
                                               max_bundles);

@@ -5,18 +5,6 @@
 
 namespace manytiers::pricing {
 
-namespace {
-
-std::vector<double> gather(const std::vector<double>& xs,
-                           const bundling::Bundle& bundle) {
-  std::vector<double> out;
-  out.reserve(bundle.size());
-  for (const std::size_t i : bundle) out.push_back(xs[i]);
-  return out;
-}
-
-}  // namespace
-
 PricedBundling price_bundles(const Market& market,
                              const bundling::Bundling& bundles) {
   bundling::validate(bundles, market.size());
@@ -31,9 +19,7 @@ PricedBundling price_bundles(const Market& market,
     case demand::DemandKind::ConstantElasticity: {
       const auto& model = market.ced();
       for (std::size_t b = 0; b < bundles.size(); ++b) {
-        const auto bv = gather(v, bundles[b]);
-        const auto bc = gather(c, bundles[b]);
-        out.bundle_prices[b] = model.bundle_price(bv, bc);
+        out.bundle_prices[b] = model.bundle_price(v, c, bundles[b]);
       }
       break;
     }
@@ -43,10 +29,9 @@ PricedBundling price_bundles(const Market& market,
       // 10-11), then solve the equal-markup optimum across bundles.
       std::vector<double> bundle_v(bundles.size()), bundle_c(bundles.size());
       for (std::size_t b = 0; b < bundles.size(); ++b) {
-        const auto bv = gather(v, bundles[b]);
-        const auto bc = gather(c, bundles[b]);
-        bundle_v[b] = model.bundle_valuation(bv);
-        bundle_c[b] = model.bundle_cost(bv, bc);
+        const auto aggregate = model.bundle_aggregate(v, c, bundles[b]);
+        bundle_v[b] = aggregate.valuation;
+        bundle_c[b] = aggregate.cost;
       }
       out.bundle_prices = model.optimal_prices(bundle_v, bundle_c).prices;
       break;

@@ -161,8 +161,8 @@ std::shared_ptr<const Snapshot> build_snapshot(
   snapshot->epoch = options.epoch;
   snapshot->grid = grid;
 
-  // Datasets generate once, shared across demand/cost combinations —
-  // same sharing run_grid does.
+  // Datasets generate once, side by side, shared across demand/cost
+  // combinations — same sharing run_grid does.
   std::vector<workload::FlowSet> generated;
   if (options.flows_override != nullptr) {
     if (options.flows_override->size() != grid.datasets.size()) {
@@ -171,11 +171,9 @@ std::shared_ptr<const Snapshot> build_snapshot(
           "dataset");
     }
   } else {
-    generated.reserve(grid.datasets.size());
-    for (const auto kind : grid.datasets) {
-      generated.push_back(workload::generate_dataset(
-          kind, {.seed = grid.base.seed, .n_flows = grid.base.n_flows}));
-    }
+    generated = workload::generate_datasets(
+        grid.datasets, {.seed = grid.base.seed, .n_flows = grid.base.n_flows},
+        options.threads);
   }
   const std::vector<workload::FlowSet>& flows =
       options.flows_override != nullptr ? *options.flows_override : generated;

@@ -37,7 +37,13 @@ ScalarOptimum maximize_scalar(const std::function<double(double)>& f,
 
 double find_root(const std::function<double(double)>& f, double lo, double hi,
                  double tol, int max_iter) {
-  double flo = f(lo), fhi = f(hi);
+  const double flo = f(lo);
+  return find_root_bracketed(f, lo, flo, hi, f(hi), tol, max_iter);
+}
+
+double find_root_bracketed(const std::function<double(double)>& f, double lo,
+                           double flo, double hi, double fhi, double tol,
+                           int max_iter) {
   if (flo == 0.0) return lo;
   if (fhi == 0.0) return hi;
   if ((flo > 0.0) == (fhi > 0.0)) {

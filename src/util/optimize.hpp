@@ -26,6 +26,12 @@ ScalarOptimum maximize_scalar(const std::function<double(double)>& f,
 // Bisection root-finding on [lo, hi]; f(lo) and f(hi) must bracket a root.
 double find_root(const std::function<double(double)>& f, double lo, double hi,
                  double tol = 1e-12, int max_iter = 200);
+// The same bisection for a caller that already evaluated f at both
+// endpoints (f_lo = f(lo), f_hi = f(hi)): f runs only at midpoints, and
+// the result is identical to find_root(f, lo, hi, tol, max_iter).
+double find_root_bracketed(const std::function<double(double)>& f, double lo,
+                           double f_lo, double hi, double f_hi,
+                           double tol = 1e-12, int max_iter = 200);
 
 struct FixedPointResult {
   double x = 0.0;

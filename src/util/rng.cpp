@@ -59,21 +59,6 @@ double Rng::pareto(double xm, double alpha) {
   return xm / std::pow(u, 1.0 / alpha);
 }
 
-std::int64_t Rng::zipf(std::int64_t n, double s) {
-  if (n < 1) throw std::invalid_argument("zipf requires n >= 1");
-  if (s < 0.0) throw std::invalid_argument("zipf requires s >= 0");
-  // Inverse-CDF over the normalized harmonic weights. O(n) per draw is
-  // fine for the workload sizes used here.
-  double total = 0.0;
-  for (std::int64_t k = 1; k <= n; ++k) total += std::pow(double(k), -s);
-  double u = std::uniform_real_distribution<double>(0.0, total)(engine_);
-  for (std::int64_t k = 1; k <= n; ++k) {
-    u -= std::pow(double(k), -s);
-    if (u <= 0.0) return k;
-  }
-  return n;
-}
-
 std::size_t Rng::index(std::size_t size) {
   if (size == 0) throw std::invalid_argument("index: empty range");
   return std::uniform_int_distribution<std::size_t>(0, size - 1)(engine_);
@@ -85,6 +70,25 @@ Rng Rng::fork(std::uint64_t salt) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return Rng(z ^ (z >> 31));
+}
+
+ZipfTable::ZipfTable(std::int64_t n, double s) {
+  if (n < 1) throw std::invalid_argument("ZipfTable: n must be >= 1");
+  if (!(s >= 0.0)) throw std::invalid_argument("ZipfTable: s must be >= 0");
+  weights_.resize(std::size_t(n));
+  for (std::int64_t k = 1; k <= n; ++k) {
+    weights_[std::size_t(k - 1)] = std::pow(double(k), -s);
+    total_ += weights_[std::size_t(k - 1)];
+  }
+}
+
+std::int64_t ZipfTable::draw(Rng& rng) const {
+  double u = rng.uniform(0.0, total_);
+  for (std::size_t k = 0; k < weights_.size(); ++k) {
+    u -= weights_[k];
+    if (u <= 0.0) return std::int64_t(k + 1);
+  }
+  return n();
 }
 
 std::vector<double> sample_heavy_tailed(Rng& rng, std::size_t n,

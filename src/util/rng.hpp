@@ -41,8 +41,6 @@ class Rng {
   bool bernoulli(double p_true);
   // Pareto with scale xm > 0 and shape alpha > 0 (support [xm, inf)).
   double pareto(double xm, double alpha);
-  // Zipf-distributed rank in [1, n] with exponent s >= 0 (s = 0 is uniform).
-  std::int64_t zipf(std::int64_t n, double s);
 
   // Pick a uniformly random index into a container of the given size.
   std::size_t index(std::size_t size);
@@ -54,6 +52,26 @@ class Rng {
 
  private:
   std::mt19937_64 engine_;
+};
+
+// Zipf-distributed ranks in [1, n] with exponent s >= 0 (s = 0 is
+// uniform), by inverse CDF over the harmonic weights k^-s. The weights
+// and their total are computed once, in rank order; each draw takes one
+// rng.uniform(0, total) and subtracts the weights in rank order until the
+// remainder is <= 0. Building the table once per dataset instead of once
+// per draw changes no operand, so the draws are bit-identical to the
+// per-draw O(n) form.
+class ZipfTable {
+ public:
+  ZipfTable(std::int64_t n, double s);
+
+  std::int64_t n() const { return std::int64_t(weights_.size()); }
+  double total() const { return total_; }  // sum of k^-s, k = 1..n
+  std::int64_t draw(Rng& rng) const;
+
+ private:
+  std::vector<double> weights_;  // weights_[k - 1] = k^-s
+  double total_ = 0.0;
 };
 
 // Draw `n` lognormal samples, then rescale so the *sample* sum equals

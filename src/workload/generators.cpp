@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -12,6 +13,7 @@
 #include "topology/dijkstra.hpp"
 #include "topology/internet2.hpp"
 #include "util/optimize.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -50,23 +52,31 @@ std::optional<double> match_cv_by_power(std::vector<double>& xs,
       throw std::invalid_argument("match_cv_by_power: values must be > 0");
     }
   }
-  const auto cv_of_power = [&xs](double t) {
-    std::vector<double> ys(xs.size());
+  // One scratch buffer for every trial power; each endpoint of the final
+  // bracket is evaluated once and handed to the bisection.
+  std::vector<double> ys(xs.size());
+  const auto cv_of_power = [&xs, &ys](double t) {
     std::transform(xs.begin(), xs.end(), ys.begin(),
                    [t](double x) { return std::pow(x, t); });
     return util::coefficient_of_variation(ys);
   };
-  // Degenerate spread (all values equal) cannot be reshaped by a power.
-  if (cv_of_power(1.0) < 1e-12) return std::nullopt;
-  const double lo = 1e-3;
   double hi = 1.0;
-  while (cv_of_power(hi) < target_cv && hi < 64.0) hi *= 2.0;
+  double cv_hi = cv_of_power(hi);
+  // Degenerate spread (all values equal) cannot be reshaped by a power.
+  if (cv_hi < 1e-12) return std::nullopt;
+  const double lo = 1e-3;
+  while (cv_hi < target_cv && hi < 64.0) {
+    hi *= 2.0;
+    cv_hi = cv_of_power(hi);
+  }
+  const double cv_lo = cv_of_power(lo);
   double t = hi;
-  if (cv_of_power(lo) >= target_cv) {
+  if (cv_lo >= target_cv) {
     t = lo;  // sample already spreads more than the target allows
-  } else if (cv_of_power(hi) >= target_cv) {
-    t = util::find_root(
-        [&](double tt) { return cv_of_power(tt) - target_cv; }, lo, hi, 1e-10);
+  } else if (cv_hi >= target_cv) {
+    t = util::find_root_bracketed(
+        [&](double tt) { return cv_of_power(tt) - target_cv; }, lo,
+        cv_lo - target_cv, hi, cv_hi - target_cv, 1e-10);
   }
   for (auto& x : xs) x = std::pow(x, t);
   return t;
@@ -181,6 +191,9 @@ FlowSet generate_eu_isp(const GeneratorOptions& options) {
   const auto europe = geo::cities_in(geo::Continent::Europe);
   const auto cities = geo::world_cities();
   const DatasetSpec spec = paper_spec(DatasetKind::EuIsp);
+  // Each country's city list, built the first time a national flow
+  // leaves that country.
+  std::map<std::string_view, std::vector<std::size_t>> cities_of_country;
 
   FlowSet flows("EU ISP");
   for (std::size_t i = 0; i < options.n_flows; ++i) {
@@ -196,7 +209,10 @@ FlowSet generate_eu_isp(const GeneratorOptions& options) {
       f.distance_miles = rng.uniform(0.1, 3.0);
     } else if (mix < 0.70) {
       // National flow: another city in the same country if one exists.
-      const auto domestic = geo::cities_in_country(cities[src].country);
+      const std::string_view country = cities[src].country;
+      auto [it, fresh] = cities_of_country.try_emplace(country);
+      if (fresh) it->second = geo::cities_in_country(country);
+      const std::vector<std::size_t>& domestic = it->second;
       std::size_t dst = src;
       if (domestic.size() > 1) {
         do {
@@ -250,27 +266,29 @@ FlowSet generate_cdn(const GeneratorOptions& options) {
   }
   const auto cities = geo::world_cities();
   const geo::GeoIpDb geoip = geo::build_synthetic_geoip();
+  // Clients concentrate on popular destinations: Zipf over cities.
+  const util::ZipfTable popularity(std::int64_t(cities.size()), 0.8);
+  // The nearest CDN PoP to every city (first PoP in list order on ties).
+  std::vector<std::size_t> nearest_pop(cities.size(), pops[0]);
+  for (std::size_t c = 0; c < cities.size(); ++c) {
+    double best = std::numeric_limits<double>::infinity();
+    for (const auto p : pops) {
+      const double d = geo::city_distance_miles(p, c);
+      if (d < best) {
+        best = d;
+        nearest_pop[c] = p;
+      }
+    }
+  }
 
   FlowSet flows("CDN");
   for (std::size_t i = 0; i < options.n_flows; ++i) {
-    // Clients concentrate on popular destinations: Zipf over cities.
-    const std::size_t dst =
-        std::size_t(rng.zipf(std::int64_t(cities.size()), 0.8)) - 1;
+    const std::size_t dst = std::size_t(popularity.draw(rng)) - 1;
     // Serve from the nearest CDN PoP most of the time; occasionally a cache
     // miss is served from a far PoP.
-    std::size_t src = pops[0];
-    if (rng.bernoulli(0.15)) {
-      src = pops[rng.index(pops.size())];
-    } else {
-      double best = std::numeric_limits<double>::infinity();
-      for (const auto p : pops) {
-        const double d = geo::city_distance_miles(p, dst);
-        if (d < best) {
-          best = d;
-          src = p;
-        }
-      }
-    }
+    const std::size_t src = rng.bernoulli(0.15)
+                                ? pops[rng.index(pops.size())]
+                                : nearest_pop[dst];
     Flow f;
     f.src_city = src;
     f.dst_city = dst;
@@ -312,6 +330,11 @@ FlowSet generate_internet2(const GeneratorOptions& options,
   }
   util::Rng rng(options.seed);
   const DatasetSpec spec = paper_spec(DatasetKind::Internet2);
+  // PoP names are city names, so city metadata carries over.
+  std::vector<std::optional<std::size_t>> pop_city(net.pop_count());
+  for (topology::PopId p = 0; p < net.pop_count(); ++p) {
+    pop_city[p] = geo::find_city(net.pop(p).name);
+  }
 
   FlowSet flows("Internet2");
   std::vector<std::pair<topology::PopId, topology::PopId>> pairs;
@@ -327,9 +350,8 @@ FlowSet generate_internet2(const GeneratorOptions& options,
           "generation time");
     }
     Flow f;
-    // PoP names are city names, so city metadata carries over.
-    f.src_city = geo::find_city(net.pop(src).name);
-    f.dst_city = geo::find_city(net.pop(dst).name);
+    f.src_city = pop_city[src];
+    f.dst_city = pop_city[dst];
     if (!f.src_city || !f.dst_city) {
       throw std::invalid_argument(
           "generate_internet2: PoP names must be known cities");
@@ -360,6 +382,17 @@ FlowSet generate_dataset(DatasetKind kind, const GeneratorOptions& options) {
     case DatasetKind::Internet2: return generate_internet2(options);
   }
   throw std::invalid_argument("unknown dataset kind");
+}
+
+std::vector<FlowSet> generate_datasets(std::span<const DatasetKind> kinds,
+                                       const GeneratorOptions& options,
+                                       std::size_t threads) {
+  std::vector<FlowSet> out(kinds.size());
+  util::parallel_for(
+      kinds.size(),
+      [&](std::size_t i) { out[i] = generate_dataset(kinds[i], options); },
+      threads);
+  return out;
 }
 
 }  // namespace manytiers::workload

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -115,6 +116,14 @@ FlowSet generate_internet2(const GeneratorOptions& options,
                            TopologyBinding* binding);
 
 FlowSet generate_dataset(DatasetKind kind, const GeneratorOptions& options = {});
+
+// generate_dataset for each kind, side by side: slot i holds kinds[i]'s
+// flow set, filled via util::parallel_for over `threads` workers (0 =
+// MANYTIERS_THREADS / hardware concurrency). Each generator owns its Rng,
+// so every slot is byte-identical to a serial generate_dataset call.
+std::vector<FlowSet> generate_datasets(std::span<const DatasetKind> kinds,
+                                       const GeneratorOptions& options,
+                                       std::size_t threads = 0);
 
 // Calibrate a flow set's distances to (wavg, cv) targets via a monotone
 // power + scale transform, and its demands to (aggregate, cv) via the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 namespace manytiers::bundling {
 namespace {
@@ -269,6 +270,40 @@ TEST(StrategySeries, Validate) {
                std::invalid_argument);
   EXPECT_THROW(cost_division_series(w, 0), std::invalid_argument);
   EXPECT_THROW(index_division_series(w, 0), std::invalid_argument);
+}
+
+// Each series entry point's errors name that entry point.
+template <typename F>
+void expect_error_prefix(F&& call, const std::string& prefix) {
+  try {
+    call();
+    ADD_FAILURE() << "expected std::invalid_argument from " << prefix;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u) << e.what();
+  }
+}
+
+TEST(StrategySeries, ErrorsNameTheSeriesFunction) {
+  const std::vector<double> w{1.0, 2.0};
+  expect_error_prefix([&] { token_bucket_series(w, 0); },
+                      "token_bucket_series: ");
+  expect_error_prefix([&] { demand_weighted_series(w, 0); },
+                      "token_bucket_series: ");
+  expect_error_prefix([&] { profit_weighted_series(w, w, 0); },
+                      "profit_weighted_series: ");
+  expect_error_prefix(
+      [&] { profit_weighted_series(w, std::vector<double>{1.0}, 2); },
+      "profit_weighted_series: ");
+  expect_error_prefix([&] { cost_division_series(w, 0); },
+                      "cost_division_series: ");
+  expect_error_prefix(
+      [&] { cost_division_series(std::vector<double>{}, 2); },
+      "cost_division_series: ");
+  expect_error_prefix([&] { index_division_series(w, 0); },
+                      "index_division_series: ");
+  expect_error_prefix(
+      [&] { index_division_series(std::vector<double>{}, 2); },
+      "index_division_series: ");
 }
 
 TEST(ClassAware, ValidatesSizes) {

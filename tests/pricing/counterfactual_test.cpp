@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bundling/optimal.hpp"
 #include "obs/registry.hpp"
 #include "workload/generators.hpp"
@@ -174,6 +176,22 @@ TEST(CaptureSeries, RejectsZeroBundles) {
   const auto m = eu_market(demand::DemandKind::ConstantElasticity);
   EXPECT_THROW(capture_series(m, Strategy::Optimal, 0),
                std::invalid_argument);
+}
+
+TEST(BundlingSeries, ZeroBundleErrorNamesBundlingSeries) {
+  const auto m = eu_market(demand::DemandKind::Logit);
+  for (const Strategy s :
+       {Strategy::Optimal, Strategy::DemandWeighted, Strategy::CostWeighted,
+        Strategy::ProfitWeighted, Strategy::CostDivision,
+        Strategy::IndexDivision, Strategy::ClassAwareProfitWeighted}) {
+    try {
+      bundling_series(m, s, 0);
+      ADD_FAILURE() << "no error for " << to_string(s);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("bundling_series: ", 0), 0u)
+          << e.what();
+    }
+  }
 }
 
 TEST(Counterfactual, RejectsZeroBundles) {

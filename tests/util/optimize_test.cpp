@@ -53,6 +53,24 @@ TEST(FindRoot, RejectsNonBracketingInterval) {
                std::invalid_argument);
 }
 
+TEST(FindRoot, BracketedFormSkipsEndpointsAndMatchesExactly) {
+  const auto f = [](double x) { return std::cos(x) - x; };
+  int calls = 0;
+  const auto counted = [&](double x) {
+    ++calls;
+    return f(x);
+  };
+  const double bracketed =
+      find_root_bracketed(counted, 0.0, f(0.0), 1.0, f(1.0), 1e-10);
+  const int midpoint_calls = calls;
+  calls = 0;
+  const double plain = find_root(counted, 0.0, 1.0, 1e-10);
+  EXPECT_EQ(bracketed, plain);
+  EXPECT_EQ(calls, midpoint_calls + 2);  // find_root adds both endpoints
+  EXPECT_THROW(find_root_bracketed(f, 0.0, 1.0, 1.0, 2.0),
+               std::invalid_argument);
+}
+
 TEST(FixedPoint, ConvergesToSqrt) {
   // x = (x + 2/x)/2 converges to sqrt(2).
   const auto res =

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "util/stats.hpp"
 
@@ -110,9 +111,10 @@ TEST(Rng, ParetoValidatesParameters) {
 
 TEST(Rng, ZipfStaysInRangeAndFavorsLowRanks) {
   Rng rng(19);
+  const ZipfTable zipf(10, 1.0);
   std::vector<int> counts(10, 0);
   for (int i = 0; i < 20000; ++i) {
-    const auto k = rng.zipf(10, 1.0);
+    const auto k = zipf.draw(rng);
     ASSERT_GE(k, 1);
     ASSERT_LE(k, 10);
     ++counts[std::size_t(k - 1)];
@@ -123,15 +125,55 @@ TEST(Rng, ZipfStaysInRangeAndFavorsLowRanks) {
 
 TEST(Rng, ZipfZeroExponentIsUniform) {
   Rng rng(23);
+  const ZipfTable zipf(5, 0.0);
   std::vector<int> counts(5, 0);
-  for (int i = 0; i < 25000; ++i) ++counts[std::size_t(rng.zipf(5, 0.0) - 1)];
+  for (int i = 0; i < 25000; ++i) ++counts[std::size_t(zipf.draw(rng) - 1)];
   for (const int c : counts) EXPECT_NEAR(double(c), 5000.0, 300.0);
 }
 
 TEST(Rng, ZipfValidatesArguments) {
-  Rng rng(23);
-  EXPECT_THROW(rng.zipf(0, 1.0), std::invalid_argument);
-  EXPECT_THROW(rng.zipf(5, -1.0), std::invalid_argument);
+  EXPECT_THROW(ZipfTable(0, 1.0), std::invalid_argument);
+  EXPECT_THROW(ZipfTable(5, -1.0), std::invalid_argument);
+  EXPECT_THROW(ZipfTable(5, std::nan("")), std::invalid_argument);
+}
+
+// The per-draw inverse CDF ZipfTable replaced: sums the weights, draws
+// one uniform, then walks the weights again, all on every call.
+double zipf_total(std::int64_t n, double s) {
+  double total = 0.0;
+  for (std::int64_t k = 1; k <= n; ++k) total += std::pow(double(k), -s);
+  return total;
+}
+
+std::int64_t zipf_per_draw(std::mt19937_64& engine, std::int64_t n, double s) {
+  const double total = zipf_total(n, s);
+  double u = std::uniform_real_distribution<double>(0.0, total)(engine);
+  for (std::int64_t k = 1; k <= n; ++k) {
+    u -= std::pow(double(k), -s);
+    if (u <= 0.0) return k;
+  }
+  return n;
+}
+
+TEST(Rng, ZipfTableMatchesPerDrawInverseCdfDrawForDraw) {
+  const std::pair<std::int64_t, double> cases[] = {
+      {1, 0.8}, {1, 0.0}, {2, 1.0}, {5, 0.0}, {10, 1.0},
+      {113, 0.8}, {1000, 1.2}, {64, 3.5}};
+  for (const auto& [n, s] : cases) {
+    Rng rng(97);
+    std::mt19937_64 oracle(97);
+    const ZipfTable zipf(n, s);
+    EXPECT_EQ(zipf.n(), n);
+    // Exact: a draw moves only when u lands within an ulp of a boundary,
+    // so a reordered sum would slip past the draw comparison below.
+    EXPECT_EQ(zipf.total(), zipf_total(n, s)) << "n=" << n << " s=" << s;
+    for (int i = 0; i < 5000; ++i) {
+      ASSERT_EQ(zipf.draw(rng), zipf_per_draw(oracle, n, s))
+          << "n=" << n << " s=" << s << " draw " << i;
+    }
+    // Both consumed the engine identically.
+    EXPECT_EQ(rng.engine()(), oracle());
+  }
 }
 
 TEST(Rng, IndexCoversAllSlots) {

@@ -3,6 +3,7 @@
 #
 #   tools/check.sh            # full build + full ctest + bench gates +
 #                             # costmodels kernel byte-compare +
+#                             # alpha-sweep thread-count byte-compare +
 #                             # serve smoke (incl. live stats polls), then
 #                             # ASan+UBSan build +
 #                             # `ctest -L "obs|orchestrator|serve|netdyn|topology"`,
@@ -69,6 +70,19 @@ done
 cmp "$kc_dir/costmodels.naive.batch" "$kc_dir/costmodels.dc.batch"
 cmp "$kc_dir/costmodels.naive.batch" "$kc_dir/costmodels.auto.batch"
 echo "check.sh: costmodels report byte-identical under naive, dc and auto"
+
+echo "== alpha-sweep: report byte-compare across worker counts =="
+# Datasets generate side by side and bundles price in place; neither may
+# move a byte of the report, whatever the worker count.
+as_dir="$repo/build/alpha_sweep_reports"
+mkdir -p "$as_dir"
+for threads in 1 4; do
+  "$repo/build/src/manytiers_batch" --grid alpha-sweep --n-flows 20000 \
+    --no-timing --per-point --threads "$threads" \
+    --out "$as_dir/alpha-sweep.t$threads.batch"
+done
+cmp "$as_dir/alpha-sweep.t1.batch" "$as_dir/alpha-sweep.t4.batch"
+echo "check.sh: alpha-sweep report byte-identical at 1 and 4 threads"
 
 echo "== netdyn: incremental-vs-naive speedup gate =="
 if command -v python3 >/dev/null 2>&1; then
