@@ -17,12 +17,15 @@ Rib& Rib::operator=(Rib&&) noexcept = default;
 Rib::~Rib() = default;
 
 void Rib::add(Route route) {
+  // Range-check the length before it becomes a shift count.
+  if (route.prefix.length < 0 || route.prefix.length > 32) {
+    throw std::invalid_argument("Rib::add: malformed prefix");
+  }
   const auto mask =
       route.prefix.length == 0
           ? geo::IpV4{0}
           : geo::IpV4(~geo::IpV4(0) << (32 - route.prefix.length));
-  if (route.prefix.length < 0 || route.prefix.length > 32 ||
-      (route.prefix.address & ~mask) != 0) {
+  if ((route.prefix.address & ~mask) != 0) {
     throw std::invalid_argument("Rib::add: malformed prefix");
   }
   const auto key = std::pair{route.prefix.address, route.prefix.length};

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -110,14 +112,40 @@ BatchReport run_grid(const ExperimentGrid& grid, const RunOptions& options) {
 
   // Phase 1: calibrate every needed market, one task per market.
   // Calibration is a pure function of the grid, so recalibrating the same
-  // market in another shard yields bit-identical state.
+  // market in another shard yields bit-identical state. The expanded
+  // flows, relative costs and cost classes depend only on (dataset, cost
+  // model), so each needed pair prepares its inputs once first and every
+  // market of that pair shares them (read-only).
+  std::vector<std::shared_ptr<const pricing::MarketInputs>> inputs(
+      grid.datasets.size() * n_cost);
+  std::vector<std::size_t> input_keys;  // ds_i * n_cost + cost_i
+  for (const std::size_t key : market_keys) {
+    const std::size_t cost_i = (key / n_points) % n_cost;
+    const std::size_t ds_i = key / n_points / n_cost / n_dem;
+    input_keys.push_back(ds_i * n_cost + cost_i);
+  }
+  std::sort(input_keys.begin(), input_keys.end());
+  input_keys.erase(std::unique(input_keys.begin(), input_keys.end()),
+                   input_keys.end());
   std::vector<std::optional<pricing::Market>> markets(market_keys.size());
   const bool tracing = obs::Tracer::instance().active();
   {
     const obs::Span phase(
         "run_grid.calibrate",
-        tracing ? "{\"markets\":" + std::to_string(market_keys.size()) + "}"
+        tracing ? "{\"markets\":" + std::to_string(market_keys.size()) +
+                      ",\"inputs\":" + std::to_string(input_keys.size()) +
+                      "}"
                 : std::string());
+    util::parallel_for(
+        input_keys.size(),
+        [&](std::size_t k) {
+          const std::size_t key = input_keys[k];
+          inputs[key] = pricing::prepare_inputs(flows[key / n_cost],
+                                                *cost_models[key % n_cost]);
+        },
+        options.threads);
+    // Later phases read flows only through the inputs; free the raw sets.
+    std::vector<workload::FlowSet>().swap(generated);
     util::parallel_for(
         market_keys.size(),
         [&](std::size_t m) {
@@ -145,7 +173,7 @@ BatchReport run_grid(const ExperimentGrid& grid, const RunOptions& options) {
               break;
           }
           markets[m].emplace(pricing::Market::calibrate(
-              flows[ds_i], spec, *cost_models[cost_i], blended_price));
+              inputs[ds_i * n_cost + cost_i], spec, blended_price));
         },
         options.threads);
   }

@@ -4,6 +4,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -20,12 +21,42 @@ struct Market::ProfitCache {
   double maximum = 0.0;
 };
 
+std::shared_ptr<const MarketInputs> prepare_inputs(
+    const workload::FlowSet& flows, const cost::CostModel& cost_model) {
+  if (flows.empty()) {
+    throw std::invalid_argument("prepare_inputs: empty flow set");
+  }
+  auto inputs = std::make_shared<MarketInputs>();
+  inputs->flows = cost_model.expand(flows);
+  inputs->relative_costs = cost_model.relative_costs(inputs->flows);
+  inputs->classes = cost_model.class_of_flows(inputs->flows);
+  if (inputs->relative_costs.size() != inputs->flows.size() ||
+      inputs->classes.size() != inputs->flows.size()) {
+    throw std::logic_error("prepare_inputs: cost model size mismatch");
+  }
+  return inputs;
+}
+
 Market Market::calibrate(const workload::FlowSet& flows,
                          const DemandSpec& demand_spec,
                          const cost::CostModel& cost_model,
                          double blended_price) {
-  if (flows.empty()) {
+  return calibrate(prepare_inputs(flows, cost_model), demand_spec,
+                   blended_price);
+}
+
+Market Market::calibrate(std::shared_ptr<const MarketInputs> inputs,
+                         const DemandSpec& demand_spec,
+                         double blended_price) {
+  if (inputs == nullptr) {
+    throw std::invalid_argument("Market::calibrate: null inputs");
+  }
+  if (inputs->flows.empty()) {
     throw std::invalid_argument("Market::calibrate: empty flow set");
+  }
+  if (inputs->relative_costs.size() != inputs->flows.size() ||
+      inputs->classes.size() != inputs->flows.size()) {
+    throw std::invalid_argument("Market::calibrate: inputs size mismatch");
   }
   if (!(blended_price > 0.0)) {
     throw std::invalid_argument("Market::calibrate: blended price must be > 0");
@@ -36,45 +67,40 @@ Market Market::calibrate(const workload::FlowSet& flows,
   const obs::Span span(
       "market.calibrate",
       obs::Tracer::instance().active()
-          ? "{\"flows\":" + std::to_string(flows.size()) + "}"
+          ? "{\"flows\":" + std::to_string(inputs->flows.size()) + "}"
           : std::string());
   Market m;
+  m.inputs_ = std::move(inputs);
   m.spec_ = demand_spec;
   m.blended_price_ = blended_price;
-  m.flows_ = cost_model.expand(flows);
-  m.relative_costs_ = cost_model.relative_costs(m.flows_);
-  m.classes_ = cost_model.class_of_flows(m.flows_);
-  if (m.relative_costs_.size() != m.flows_.size() ||
-      m.classes_.size() != m.flows_.size()) {
-    throw std::logic_error("Market::calibrate: cost model size mismatch");
-  }
-  const auto demands = m.flows_.demands();
+  const auto& relative_costs = m.inputs_->relative_costs;
+  const auto demands = m.inputs_->flows.demands();
 
   switch (demand_spec.kind) {
     case demand::DemandKind::ConstantElasticity: {
       demand::CedModel model(demand_spec.alpha);
-      const auto fit = model.fit_valuations(demands, blended_price);
-      m.valuations_ = fit.valuations;
+      auto fit = model.fit_valuations(demands, blended_price);
+      m.valuations_ = std::move(fit.valuations);
       m.gamma_ =
-          model.fit_gamma(m.valuations_, m.relative_costs_, blended_price);
+          model.fit_gamma(m.valuations_, relative_costs, blended_price);
       m.ced_ = model;
       break;
     }
     case demand::DemandKind::Logit: {
-      const auto fit = demand::LogitModel::fit_valuations(
+      auto fit = demand::LogitModel::fit_valuations(
           demands, blended_price, demand_spec.no_purchase_share,
           demand_spec.alpha);
       demand::LogitModel model(demand_spec.alpha, fit.market_size);
-      m.valuations_ = fit.valuations;
+      m.valuations_ = std::move(fit.valuations);
       m.gamma_ =
-          model.fit_gamma(m.valuations_, m.relative_costs_, blended_price);
+          model.fit_gamma(m.valuations_, relative_costs, blended_price);
       m.logit_ = model;
       break;
     }
   }
-  m.costs_.resize(m.relative_costs_.size());
+  m.costs_.resize(relative_costs.size());
   for (std::size_t i = 0; i < m.costs_.size(); ++i) {
-    m.costs_[i] = m.gamma_ * m.relative_costs_[i];
+    m.costs_[i] = m.gamma_ * relative_costs[i];
   }
   m.profit_cache_ = std::make_shared<ProfitCache>();
   return m;
@@ -134,8 +160,9 @@ void Market::tag_topology_epoch(std::uint64_t epoch) {
 }
 
 std::size_t Market::cost_class_count() const {
-  if (classes_.empty()) return 0;
-  return *std::max_element(classes_.begin(), classes_.end()) + 1;
+  const auto& classes = inputs_->classes;
+  if (classes.empty()) return 0;
+  return *std::max_element(classes.begin(), classes.end()) + 1;
 }
 
 const demand::CedModel& Market::ced() const {

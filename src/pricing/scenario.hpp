@@ -7,6 +7,14 @@
 // ISP is already rational and profit-maximizing at the blended rate. The
 // calibration has a built-in consistency property: re-optimizing a single
 // blended bundle recovers exactly P0.
+//
+// Calibration splits into what depends only on (flows, cost model) and
+// what it fits. MarketInputs holds the former: the cost-expanded flows,
+// their relative costs and cost classes. It is immutable once built and
+// shared by reference count, so every market calibrated from the same
+// (dataset, cost model) pair — across demand models and sweep points —
+// reads one copy. A Market owns only what it fits: valuations, costs,
+// gamma and the demand model.
 #pragma once
 
 #include <cstdint>
@@ -28,26 +36,51 @@ struct DemandSpec {
   double no_purchase_share = 0.2;  // s0 at the blended rate (logit only)
 };
 
+// The calibration inputs of one (flow set, cost model) pair. Every
+// vector has one entry per expanded flow.
+struct MarketInputs {
+  workload::FlowSet flows;  // cost-expanded
+  std::vector<double> relative_costs;
+  std::vector<std::size_t> classes;
+};
+
+// Expand `flows` under `cost_model` and compute the relative costs and
+// cost classes (the destination-type model splits each flow into on/off-
+// net sub-flows). Throws std::invalid_argument on an empty flow set.
+std::shared_ptr<const MarketInputs> prepare_inputs(
+    const workload::FlowSet& flows, const cost::CostModel& cost_model);
+
 class Market {
  public:
-  // Calibrate a market from observed flows. The cost model may expand the
-  // flow set (destination-type splits flows into on/off-net sub-flows).
+  // Calibrate a market from shared inputs. Throws std::invalid_argument
+  // on null, empty or mis-sized `inputs` or a non-positive blended price.
+  static Market calibrate(std::shared_ptr<const MarketInputs> inputs,
+                          const DemandSpec& demand_spec,
+                          double blended_price);
+
+  // Calibrate a market from observed flows: prepare_inputs, then the
+  // overload above. An empty flow set throws before the blended price
+  // is checked.
   static Market calibrate(const workload::FlowSet& flows,
                           const DemandSpec& demand_spec,
                           const cost::CostModel& cost_model,
                           double blended_price);
 
-  const workload::FlowSet& flows() const { return flows_; }
-  std::size_t size() const { return flows_.size(); }
+  const workload::FlowSet& flows() const { return inputs_->flows; }
+  std::size_t size() const { return inputs_->flows.size(); }
   const DemandSpec& demand_spec() const { return spec_; }
   double blended_price() const { return blended_price_; }
 
   const std::vector<double>& valuations() const { return valuations_; }
   const std::vector<double>& costs() const { return costs_; }
-  const std::vector<double>& relative_costs() const { return relative_costs_; }
+  const std::vector<double>& relative_costs() const {
+    return inputs_->relative_costs;
+  }
   double gamma() const { return gamma_; }
   // Cost class of each flow (for class-aware bundling) and class count.
-  const std::vector<std::size_t>& cost_classes() const { return classes_; }
+  const std::vector<std::size_t>& cost_classes() const {
+    return inputs_->classes;
+  }
   std::size_t cost_class_count() const;
 
   // The fitted demand model. Exactly one is engaged, per spec().kind.
@@ -80,14 +113,12 @@ class Market {
   struct ProfitCache;
   const ProfitCache& primed_cache() const;
 
-  workload::FlowSet flows_{"uncalibrated"};
+  std::shared_ptr<const MarketInputs> inputs_;  // shared, never mutated
   DemandSpec spec_;
   double blended_price_ = 0.0;
   std::vector<double> valuations_;
-  std::vector<double> relative_costs_;
   std::vector<double> costs_;
   double gamma_ = 0.0;
-  std::vector<std::size_t> classes_;
   std::optional<demand::CedModel> ced_;
   std::optional<demand::LogitModel> logit_;
   std::uint64_t topology_epoch_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -56,43 +57,43 @@ SweepResult sweep_captures(std::span<const double> parameter_values,
   return out;
 }
 
+// Every point of a sweep calibrates from the same flows and cost model,
+// so each sweep prepares the shared inputs once.
 namespace {
-void require_inputs(const SensitivityInputs& inputs) {
+std::shared_ptr<const MarketInputs> shared_inputs(
+    const SensitivityInputs& inputs) {
   if (inputs.flows == nullptr || inputs.cost_model == nullptr) {
     throw std::invalid_argument("sensitivity sweep: null flows or cost model");
   }
+  return prepare_inputs(*inputs.flows, *inputs.cost_model);
 }
 }  // namespace
 
 SweepResult sweep_alpha(const SensitivityInputs& inputs,
                         std::span<const double> alphas) {
-  require_inputs(inputs);
+  const auto shared = shared_inputs(inputs);
   return sweep_captures(
       alphas,
       [&](double alpha) {
         DemandSpec spec = inputs.demand;
         spec.alpha = alpha;
-        return Market::calibrate(*inputs.flows, spec, *inputs.cost_model,
-                                 inputs.blended_price);
+        return Market::calibrate(shared, spec, inputs.blended_price);
       },
       inputs.strategy, inputs.max_bundles, inputs.threads);
 }
 
 SweepResult sweep_blended_price(const SensitivityInputs& inputs,
                                 std::span<const double> prices) {
-  require_inputs(inputs);
+  const auto shared = shared_inputs(inputs);
   return sweep_captures(
       prices,
-      [&](double p0) {
-        return Market::calibrate(*inputs.flows, inputs.demand,
-                                 *inputs.cost_model, p0);
-      },
+      [&](double p0) { return Market::calibrate(shared, inputs.demand, p0); },
       inputs.strategy, inputs.max_bundles, inputs.threads);
 }
 
 SweepResult sweep_no_purchase_share(const SensitivityInputs& inputs,
                                     std::span<const double> shares) {
-  require_inputs(inputs);
+  const auto shared = shared_inputs(inputs);
   if (inputs.demand.kind != demand::DemandKind::Logit) {
     throw std::invalid_argument(
         "sweep_no_purchase_share: s0 only exists in the logit model");
@@ -102,8 +103,7 @@ SweepResult sweep_no_purchase_share(const SensitivityInputs& inputs,
       [&](double s0) {
         DemandSpec spec = inputs.demand;
         spec.no_purchase_share = s0;
-        return Market::calibrate(*inputs.flows, spec, *inputs.cost_model,
-                                 inputs.blended_price);
+        return Market::calibrate(shared, spec, inputs.blended_price);
       },
       inputs.strategy, inputs.max_bundles, inputs.threads);
 }

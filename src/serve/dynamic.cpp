@@ -82,6 +82,7 @@ DynamicState::Derived DynamicState::apply(
         rebuild.push_back(ds * per_ds + k);
       }
     }
+    const auto inputs = prepare_market_inputs(grid_, flows_, dirty);
     util::parallel_for(
         rebuild.size(),
         [&](std::size_t j) {
@@ -90,7 +91,9 @@ DynamicState::Derived DynamicState::apply(
           const std::size_t dem_i = (m / n_cost) % n_dem;
           const std::size_t ds_i = m / n_cost / n_dem;
           next->markets[m] =
-              build_market_entry(grid_, flows_[ds_i], ds_i, dem_i, cost_i);
+              build_market_entry(grid_, flows_[ds_i],
+                                 inputs[ds_i * n_cost + cost_i], ds_i, dem_i,
+                                 cost_i);
         },
         threads);
     out.recalibrated = rebuild.size();

@@ -111,22 +111,40 @@ std::optional<pricing::Strategy> strategy_from_name(std::string_view name) {
   return std::nullopt;
 }
 
+std::vector<std::shared_ptr<const pricing::MarketInputs>> prepare_market_inputs(
+    const driver::ExperimentGrid& grid,
+    const std::vector<workload::FlowSet>& flows,
+    const std::vector<std::size_t>& datasets) {
+  const std::size_t n_cost = grid.cost_kinds.size();
+  std::vector<std::shared_ptr<const pricing::MarketInputs>> inputs(
+      grid.datasets.size() * n_cost);
+  for (std::size_t cost_i = 0; cost_i < n_cost; ++cost_i) {
+    const auto cost_model =
+        driver::make_cost_model(grid.cost_kinds[cost_i], grid.base.theta);
+    for (const std::size_t ds_i : datasets) {
+      inputs[ds_i * n_cost + cost_i] =
+          pricing::prepare_inputs(flows[ds_i], *cost_model);
+    }
+  }
+  return inputs;
+}
+
 std::shared_ptr<const MarketEntry> build_market_entry(
     const driver::ExperimentGrid& grid, const workload::FlowSet& flows,
-    std::size_t ds_i, std::size_t dem_i, std::size_t cost_i) {
+    std::shared_ptr<const pricing::MarketInputs> inputs, std::size_t ds_i,
+    std::size_t dem_i, std::size_t cost_i) {
   pricing::DemandSpec spec;
   spec.kind = grid.demand_kinds[dem_i];
   spec.alpha = grid.base.alpha;
   spec.no_purchase_share = grid.base.s0;
-  auto cost_model =
-      driver::make_cost_model(grid.cost_kinds[cost_i], grid.base.theta);
   auto entry = std::make_shared<MarketEntry>(pricing::Market::calibrate(
-      flows, spec, *cost_model, grid.base.blended_price));
+      std::move(inputs), spec, grid.base.blended_price));
   entry->dataset = grid.datasets[ds_i];
   entry->demand = grid.demand_kinds[dem_i];
   entry->cost = grid.cost_kinds[cost_i];
   entry->key = market_key(entry->dataset, entry->demand, entry->cost);
-  entry->cost_model = std::move(cost_model);
+  entry->cost_model =
+      driver::make_cost_model(grid.cost_kinds[cost_i], grid.base.theta);
   // The raw (pre-expansion) maximum-distance flow anchors the cost
   // context for new-flow queries.
   std::size_t far = 0;
@@ -192,6 +210,9 @@ std::shared_ptr<const Snapshot> build_snapshot(
                     ",\"epoch\":" + std::to_string(options.epoch) + "}"
               : std::string());
 
+  std::vector<std::size_t> all_datasets(grid.datasets.size());
+  std::iota(all_datasets.begin(), all_datasets.end(), std::size_t{0});
+  const auto inputs = prepare_market_inputs(grid, flows, all_datasets);
   util::parallel_for(
       n_markets,
       [&](std::size_t m) {
@@ -201,7 +222,9 @@ std::shared_ptr<const Snapshot> build_snapshot(
         const std::size_t dem_i = (m / n_cost) % n_dem;
         const std::size_t ds_i = m / n_cost / n_dem;
         snapshot->markets[m] =
-            build_market_entry(grid, flows[ds_i], ds_i, dem_i, cost_i);
+            build_market_entry(grid, flows[ds_i],
+                               inputs[ds_i * n_cost + cost_i], ds_i, dem_i,
+                               cost_i);
       },
       options.threads);
 

@@ -107,12 +107,27 @@ struct SnapshotBuildOptions {
 std::shared_ptr<const Snapshot> build_snapshot(
     const driver::ExperimentGrid& grid, const SnapshotBuildOptions& options = {});
 
+// Prepare the shared calibration inputs (pricing::prepare_inputs) of
+// every (dataset, cost) pair of the listed datasets. `flows` holds one
+// flow set per grid dataset; the result is indexed
+// ds_i * grid.cost_kinds.size() + cost_i, and the pairs of unlisted
+// datasets stay null. Runs on the calling thread: expanding a flow set
+// is a small share of calibrating and pricing its markets, so a second
+// fork-join would add more scheduling to a reload than it saves.
+std::vector<std::shared_ptr<const pricing::MarketInputs>> prepare_market_inputs(
+    const driver::ExperimentGrid& grid,
+    const std::vector<workload::FlowSet>& flows,
+    const std::vector<std::size_t>& datasets);
+
 // Calibrate and price one (dataset, demand, cost) market of the grid
-// from the given dataset flows — the unit build_snapshot fans out over
-// and the dynamic reload path rebuilds dirty markets with.
+// from the dataset's raw flows and the (dataset, cost) pair's shared
+// inputs — the unit build_snapshot fans out over and the dynamic reload
+// path rebuilds dirty markets with. The CED and logit entries of one
+// pair share `inputs`.
 std::shared_ptr<const MarketEntry> build_market_entry(
     const driver::ExperimentGrid& grid, const workload::FlowSet& flows,
-    std::size_t ds_i, std::size_t dem_i, std::size_t cost_i);
+    std::shared_ptr<const pricing::MarketInputs> inputs, std::size_t ds_i,
+    std::size_t dem_i, std::size_t cost_i);
 
 // --- Query evaluators (socket-free, unit-testable) ---
 

@@ -157,5 +157,35 @@ TEST(Tracer, TracingAndMetricsNeverChangeReportBytes) {
   EXPECT_EQ(dp_fills, 6u);
 }
 
+// The calibrate phase names its sharing factor: markets calibrated and
+// the (dataset, cost model) inputs they share. Declared after the test
+// above, which must see the tracer inactive when run in one process.
+TEST(Tracer, CalibratePhaseRecordsSharedInputs) {
+  const std::string trace_path =
+      ::testing::TempDir() + "calibrate_inputs.trace.json";
+  Tracer::instance().start(trace_path);
+  auto alpha = driver::alpha_sweep_grid();
+  alpha.base.n_flows = 40;
+  auto costmodels = driver::costmodels_grid();
+  costmodels.base.n_flows = 40;
+  driver::RunOptions options;
+  options.threads = 2;
+  driver::run_grid(alpha, options);
+  driver::run_grid(costmodels, options);
+  Tracer::instance().flush();
+
+  // The buffer keeps every span of this process, so key each
+  // calibrate phase by its market count.
+  std::map<std::string, std::string> inputs_by_markets;
+  for (const auto& event : read_trace_events(trace_path)) {
+    if (field(event, "name") == "\"run_grid.calibrate\"" &&
+        field(event, "ph") == "\"B\"") {
+      inputs_by_markets[field(event, "markets")] = field(event, "inputs");
+    }
+  }
+  EXPECT_EQ(inputs_by_markets["48"], "3");   // 3 datasets x 1 cost
+  EXPECT_EQ(inputs_by_markets["24"], "12");  // 3 datasets x 4 costs
+}
+
 }  // namespace
 }  // namespace manytiers::obs

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "driver/grid.hpp"
 #include "obs/registry.hpp"
 #include "workload/generators.hpp"
 
@@ -91,6 +95,122 @@ TEST(Market, CalibrationValidates) {
       std::invalid_argument);
   EXPECT_THROW(Market::calibrate(small_flows(), DemandSpec{}, *cost, 0.0),
                std::invalid_argument);
+  EXPECT_THROW(prepare_inputs(workload::FlowSet("e"), *cost),
+               std::invalid_argument);
+
+  // The shared-inputs overload: null, empty and mis-sized inputs and a
+  // non-positive blended price are all typed argument errors.
+  EXPECT_THROW(Market::calibrate(nullptr, DemandSpec{}, 20.0),
+               std::invalid_argument);
+  EXPECT_THROW(Market::calibrate(std::make_shared<const MarketInputs>(),
+                                 DemandSpec{}, 20.0),
+               std::invalid_argument);
+  auto short_costs = std::make_shared<MarketInputs>(
+      *prepare_inputs(small_flows(), *cost));
+  short_costs->relative_costs.pop_back();
+  EXPECT_THROW(Market::calibrate(short_costs, DemandSpec{}, 20.0),
+               std::invalid_argument);
+  const auto inputs = prepare_inputs(small_flows(), *cost);
+  EXPECT_THROW(Market::calibrate(inputs, DemandSpec{}, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(Market::calibrate(inputs, DemandSpec{}, -20.0),
+               std::invalid_argument);
+}
+
+// The by-value overload reports an empty flow set before a bad blended
+// price.
+TEST(Market, EmptyFlowSetThrowsBeforeThePriceCheck) {
+  const auto cost = cost::make_linear_cost(0.2);
+  try {
+    Market::calibrate(workload::FlowSet("e"), DemandSpec{}, *cost, 0.0);
+    FAIL() << "calibrate accepted an empty flow set";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("empty flow set"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Market, CopiesAndSiblingsShareOneInputs) {
+  const auto cost = cost::make_dest_type_cost(0.1);
+  const auto inputs = prepare_inputs(small_flows(), *cost);
+  DemandSpec logit;
+  logit.kind = demand::DemandKind::Logit;
+  const auto ced = Market::calibrate(inputs, DemandSpec{}, 20.0);
+  const auto other = Market::calibrate(inputs, logit, 25.0);
+  const Market copy = ced;
+  for (const Market* m : {&ced, &other, &copy}) {
+    EXPECT_EQ(&m->flows(), &inputs->flows);
+    EXPECT_EQ(&m->relative_costs(), &inputs->relative_costs);
+    EXPECT_EQ(&m->cost_classes(), &inputs->classes);
+  }
+  // What a market fits stays its own.
+  EXPECT_NE(&ced.valuations(), &other.valuations());
+  EXPECT_NE(&ced.costs(), &copy.costs());
+  EXPECT_EQ(ced.size(), 10u);
+}
+
+TEST(Market, TopologyRetagKeepsInputsShared) {
+  const auto cost = cost::make_linear_cost(0.2);
+  const auto inputs = prepare_inputs(small_flows(), *cost);
+  auto m = Market::calibrate(inputs, DemandSpec{}, 20.0);
+  const Market copy = m;
+  m.tag_topology_epoch(4);
+  EXPECT_EQ(&m.flows(), &inputs->flows);
+  EXPECT_EQ(&m.relative_costs(), &copy.relative_costs());
+  EXPECT_EQ(&m.cost_classes(), &copy.cost_classes());
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// The shared-inputs overload fits exactly what the by-value overload
+// fits, on every paper dataset, cost model and demand model.
+TEST(Market, SharedInputsCalibrateBitForBitLikeByValue) {
+  const driver::BaseParams base;
+  std::size_t checked = 0;
+  for (const auto dataset : {workload::DatasetKind::EuIsp,
+                             workload::DatasetKind::Internet2,
+                             workload::DatasetKind::Cdn}) {
+    const auto flows =
+        workload::generate_dataset(dataset, {.seed = 42, .n_flows = 2000});
+    for (const auto cost_kind :
+         {driver::CostKind::Linear, driver::CostKind::Concave,
+          driver::CostKind::Regional, driver::CostKind::DestType}) {
+      const auto model = driver::make_cost_model(cost_kind, base.theta);
+      const auto inputs = prepare_inputs(flows, *model);
+      for (const auto kind : {demand::DemandKind::ConstantElasticity,
+                              demand::DemandKind::Logit}) {
+        const std::string label =
+            std::string(workload::to_string(dataset)) + "/" +
+            std::string(driver::to_string(kind)) + "/" +
+            std::string(driver::to_string(cost_kind));
+        DemandSpec spec;
+        spec.kind = kind;
+        spec.alpha = base.alpha;
+        spec.no_purchase_share = base.s0;
+        const auto by_value =
+            Market::calibrate(flows, spec, *model, base.blended_price);
+        const auto shared =
+            Market::calibrate(inputs, spec, base.blended_price);
+        EXPECT_TRUE(same_bytes(shared.valuations(), by_value.valuations()))
+            << label;
+        EXPECT_TRUE(same_bytes(shared.costs(), by_value.costs())) << label;
+        const double g_shared = shared.gamma();
+        const double g_by_value = by_value.gamma();
+        EXPECT_EQ(std::memcmp(&g_shared, &g_by_value, sizeof(double)), 0)
+            << label;
+        EXPECT_TRUE(
+            same_bytes(shared.relative_costs(), by_value.relative_costs()))
+            << label;
+        EXPECT_EQ(shared.cost_classes(), by_value.cost_classes()) << label;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 3u * 4u * 2u);
 }
 
 // The load-bearing calibration invariant, across every cost model, both

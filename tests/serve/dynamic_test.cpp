@@ -85,6 +85,14 @@ TEST(DynamicState, DerivedSnapshotEqualsFullRebuildAndSharesCleanEntries) {
     }
   }
 
+  // The rebuilt CED and logit entries of the Internet2 pair share one
+  // set of re-costed inputs, fresh from those of the base snapshot.
+  const auto& ced_i2 = derived.snapshot->markets[per_ds]->market;
+  const auto& logit_i2 = derived.snapshot->markets[per_ds + 1]->market;
+  EXPECT_EQ(&ced_i2.flows(), &logit_i2.flows());
+  EXPECT_EQ(&ced_i2.relative_costs(), &logit_i2.relative_costs());
+  EXPECT_NE(&ced_i2.flows(), &base->markets[per_ds]->market.flows());
+
   // Byte-identity against the recompute-everything reference.
   const auto reference = state.scratch_snapshot(2, 2);
   expect_snapshots_identical(*derived.snapshot, *reference);

@@ -4,7 +4,10 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "pricing/counterfactual.hpp"
@@ -186,6 +189,30 @@ TEST(SnapshotClasses, RegionalAndDestTypeClassesAddress) {
   EXPECT_DOUBLE_EQ(off_net, 2.0 * on_net);
   EXPECT_THROW(query_relative_cost(*dest, 10.0, 100.0, 2),
                std::invalid_argument);
+}
+
+// Markets of one (dataset, cost) pair share their calibration inputs
+// across demand models; markets of different pairs never do.
+TEST(SnapshotBuild, DemandModelsOfOnePairShareTheirInputs) {
+  auto grid = driver::costmodels_grid();
+  grid.base.n_flows = 30;
+  SnapshotBuildOptions options;
+  options.threads = 2;
+  const auto snapshot = build_snapshot(grid, options);
+  std::map<std::pair<workload::DatasetKind, driver::CostKind>,
+           const workload::FlowSet*>
+      flows_of_pair;
+  std::set<const workload::FlowSet*> distinct;
+  for (const auto& entry : snapshot->markets) {
+    const auto it =
+        flows_of_pair
+            .try_emplace({entry->dataset, entry->cost}, &entry->market.flows())
+            .first;
+    EXPECT_EQ(it->second, &entry->market.flows()) << entry->key;
+    distinct.insert(&entry->market.flows());
+  }
+  EXPECT_EQ(distinct.size(),
+            grid.datasets.size() * grid.cost_kinds.size());
 }
 
 TEST(SnapshotBuild, RejectsSweepGrids) {

@@ -1,27 +1,26 @@
 #!/usr/bin/env bash
-# Tier-1 gate plus sanitizer pass for the process-supervision paths.
+# Tier-1 gate plus sanitizer passes over the whole suite.
 #
 #   tools/check.sh            # full build + full ctest + bench gates +
 #                             # costmodels kernel byte-compare +
 #                             # alpha-sweep thread-count byte-compare +
 #                             # serve smoke (incl. live stats polls), then
-#                             # ASan+UBSan build +
-#                             # `ctest -L "obs|orchestrator|serve|netdyn|topology"`,
+#                             # ASan+UBSan build + full ctest,
 #                             # then TSan build +
 #                             # `ctest -L "obs|parallel|serve|netdyn"`
 #   tools/check.sh --fast     # skip both sanitizer legs
 #
-# The orchestrator fork/exec/kill/heartbeat code is exactly the kind of
-# code where a latent use-after-free or signed-overflow hides behind
-# "the test passed": the sanitizer leg re-runs every orchestrator- and
-# driver-labelled supervision test with ASan+UBSan enabled, plus the
-# serve suite — its malformed-frame corpus and the chaos harness
-# (slow-loris, RST aborts, drain storms against the live binary) only
-# prove hardening if a byte-level parser bug actually crashes. The TSan leg covers the other
-# risk pocket — the lock-free obs registry (sharded relaxed atomics),
-# the parallel_for pool, and the serve daemon's RCU-style snapshot swap
-# under concurrent reloads — where a data race would corrupt counters
-# or tear a snapshot silently instead of crashing.
+# A latent use-after-free, out-of-range shift or signed overflow hides
+# behind "the test passed" anywhere, so the ASan+UBSan leg re-runs the
+# whole suite: the orchestrator's fork/exec/kill/heartbeat code, the
+# serve suite's malformed-frame corpus and chaos harness (slow-loris, RST
+# aborts, drain storms against the live binary), the accounting parsers
+# and every numeric kernel only prove hardening if a bug actually
+# crashes. The TSan leg covers the other risk pocket — the lock-free obs
+# registry (sharded relaxed atomics), the parallel_for pool, and the
+# serve daemon's RCU-style snapshot swap under concurrent reloads — where
+# a data race would corrupt counters or tear a snapshot silently instead
+# of crashing.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -190,18 +189,10 @@ cmake -S "$repo" -B "$repo/build-asan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMANYTIERS_SANITIZE=ON
 cmake --build "$repo/build-asan" -j "$jobs"
 
-echo "== sanitizers: ctest -L \"obs|orchestrator|serve|netdyn|topology\" =="
-# netdyn joins the leg because incremental-repair bookkeeping (cone
-# resets, tombstone rows, matrix growth) is exactly where an
-# out-of-bounds row index would hide behind a passing value check;
-# topology rides along as its dependency surface. obs joins for the
-# streaming layer: the hand-rolled series parser and the snapshotter's
-# temp+rename writer are byte-level code ASan should see.
+echo "== sanitizers: full ctest (ASan+UBSan) =="
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 ASAN_OPTIONS="detect_leaks=0" \
-  ctest --test-dir "$repo/build-asan" \
-    -L "obs|orchestrator|serve|netdyn|topology" \
-    --output-on-failure -j "$jobs"
+  ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs"
 
 echo "== sanitizers: TSan build =="
 cmake -S "$repo" -B "$repo/build-tsan" \
